@@ -29,26 +29,12 @@ let compose_test name kind workload scale =
     (Staged.stage (fun () ->
          ignore (Filter.run kind (module Velodrome) tr)))
 
-(* -- A9 satellite: vector-clock vs tree-clock join cost ------------ *)
+(* -- vector-clock join cost against thread count ------------------ *)
 
 module VC = Vector_clock
-module TC = Tree_clock
 
-(* A thread clock rooted at [root] that has learned one entry from
-   every other of the [n] threads (each spoke published exactly once,
-   per the publish-inc discipline). *)
-let tc_full n ~root =
-  let c = TC.create () in
-  TC.inc c root;
-  for t = 0 to n - 1 do
-    if t <> root then begin
-      let s = TC.create () in
-      TC.inc s t;
-      TC.join_into ~dst:c s
-    end
-  done;
-  c
-
+(* A thread clock rooted at [root] that knows one entry from every
+   other of the [n] threads. *)
 let vc_full n ~root =
   let c = VC.create () in
   for t = 0 to n - 1 do
@@ -58,12 +44,9 @@ let vc_full n ~root =
   c
 
 (* Ping-pong pair: both clocks know all [n] threads, but each round
-   trip carries exactly ONE updated entry (the peer's root).  A
-   vector clock still scans all [n] entries per join; a tree clock's
-   root early-exit touches only the one updated node — these rows are
-   the "join cost follows updated entries, not thread count" claim of
-   DESIGN.md S29, measured. *)
-let pingpong_vc_test n =
+   trip carries exactly ONE updated entry (the peer's own); a vector
+   clock still scans all [n] entries per join. *)
+let pingpong_test n =
   let a = vc_full n ~root:0 and b = vc_full n ~root:(n - 1) in
   Test.make ~name:(Printf.sprintf "vclock/pingpong-vc/%d" n)
     (Staged.stage (fun () ->
@@ -72,67 +55,31 @@ let pingpong_vc_test n =
          VC.inc b (n - 1);
          VC.join_into ~dst:a b))
 
-let pingpong_tc_test n =
-  let a = tc_full n ~root:0 and b = tc_full n ~root:(n - 1) in
-  Test.make ~name:(Printf.sprintf "vclock/pingpong-tc/%d" n)
-    (Staged.stage (fun () ->
-         TC.inc a 0;
-         TC.join_into ~dst:b a;
-         TC.inc b (n - 1);
-         TC.join_into ~dst:a b))
-
 (* Fan-in at a fixed n = 512 threads: [u] spokes advance and publish
-   into a hub, then one stale observer joins the hub and must update
-   u + 1 entries.  Sweeping u with n pinned shows tree-clock join
-   cost growing with the updated-entry count alone, while the vector
-   clock pays (u + 1) x O(n) for the same round. *)
-let fanin_test ~tc n u =
+   into a hub, then one stale observer joins the hub — (u + 1) joins
+   of O(n) each. *)
+let fanin_test n u =
   let hub_root = n - 1 and obs_root = n - 2 in
-  if tc then begin
-    let hub = tc_full n ~root:hub_root in
-    let obs = tc_full n ~root:obs_root in
-    let spokes = Array.init u (fun i ->
-        let s = TC.create () in
-        TC.inc s i;
-        s)
-    in
-    Test.make ~name:(Printf.sprintf "vclock/fanin-tc/%d-u%d" n u)
-      (Staged.stage (fun () ->
-           Array.iteri
-             (fun i s ->
-               TC.inc s i;
-               TC.join_into ~dst:hub s)
-             spokes;
-           TC.join_into ~dst:obs hub;
-           TC.inc hub hub_root))
-  end
-  else begin
-    let hub = vc_full n ~root:hub_root in
-    let obs = vc_full n ~root:obs_root in
-    let spokes = Array.init u (fun i ->
-        let s = VC.create () in
-        VC.inc s i;
-        s)
-    in
-    Test.make ~name:(Printf.sprintf "vclock/fanin-vc/%d-u%d" n u)
-      (Staged.stage (fun () ->
-           Array.iteri
-             (fun i s ->
-               VC.inc s i;
-               VC.join_into ~dst:hub s)
-             spokes;
-           VC.join_into ~dst:obs hub;
-           VC.inc hub hub_root))
-  end
+  let hub = vc_full n ~root:hub_root in
+  let obs = vc_full n ~root:obs_root in
+  let spokes = Array.init u (fun i ->
+      let s = VC.create () in
+      VC.inc s i;
+      s)
+  in
+  Test.make ~name:(Printf.sprintf "vclock/fanin-vc/%d-u%d" n u)
+    (Staged.stage (fun () ->
+         Array.iteri
+           (fun i s ->
+             VC.inc s i;
+             VC.join_into ~dst:hub s)
+           spokes;
+         VC.join_into ~dst:obs hub;
+         VC.inc hub hub_root))
 
 let vclock_tests () =
-  List.concat
-    [ List.concat_map
-        (fun n -> [ pingpong_vc_test n; pingpong_tc_test n ])
-        [ 2; 8; 64; 512 ];
-      List.concat_map
-        (fun u -> [ fanin_test ~tc:false 512 u; fanin_test ~tc:true 512 u ])
-        [ 8; 64 ] ]
+  List.map pingpong_test [ 2; 8; 64; 512 ]
+  @ List.map (fanin_test 512) [ 8; 64 ]
 
 let tests () =
   let mtrt = Option.get (Workloads.find "mtrt") in

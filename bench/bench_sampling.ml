@@ -2,14 +2,15 @@
    frontier.
 
    The sampling detectors analyze a seeded pseudo-random fraction of
-   each variable's accesses under full (tree-clock) timestamp
-   maintenance, so skipped accesses cost O(1) and warnings stay a
-   subset of FastTrack's.  This experiment sweeps the rate and records
-   one frontier row per (workload, rate): sequential wall time,
-   events/s, speedup over sequential FastTrack on the same trace, and
-   racy-variable recall against the FastTrack oracle.  Rate 1.0 must
-   land on FastTrack's exact warning set (asserted here); rate 0.0
-   with budget 0 prices the pure timestamp-maintenance floor.
+   each variable's accesses — a coin in front of plain FastTrack,
+   whose vector-clock sync state stays exact — so skipped accesses
+   cost O(1) and warnings stay a subset of FastTrack's.  This
+   experiment sweeps the rate and records one frontier row per
+   (workload, rate): sequential wall time, events/s, speedup over
+   sequential FastTrack on the same trace, and racy-variable recall
+   against the FastTrack oracle.  Rate 1.0 must land on FastTrack's
+   exact warning set (asserted here); rate 0.0 with budget 0 prices
+   the pure timestamp-maintenance floor.
 
    Two greppable gate lines close the loop for CI (satellite of the
    A9 issue): SAMPLING_RECALL per racy workload — union recall over
@@ -64,8 +65,7 @@ let mean_recall ~oracle ~rate d tr =
 
 let run ~scale ~repeat () =
   Printf.printf
-    "== Sampling: recall-vs-slowdown frontier (tree-clock timestamps) \
-     ==\n";
+    "== Sampling: recall-vs-slowdown frontier ==\n";
   Printf.printf
     "(sequential wall time, best batch of %d; budget 0 so the rate \
      alone drives the frontier; recall is the mean over %d seeds of \

@@ -380,6 +380,20 @@ let analyze_prefiltered ~granularity ~fail_on_race pf d tr path =
     else if r.Filter.warnings = [] then 0
     else 2
 
+(* A sampling policy the coin cannot honour is an error, not something
+   to clamp into a different policy.  Only the sampling detectors read
+   the policy, so only they check it. *)
+let sampling_flag_error tool (s : Config.sampling) =
+  if not (List.mem (String.lowercase_ascii tool)
+            [ "sampling"; "sampling-period" ])
+  then None
+  else if not (s.Config.rate >= 0. && s.Config.rate <= 1.) then
+    Some
+      (Printf.sprintf "--rate must be within [0, 1], got %g" s.Config.rate)
+  else if s.Config.budget < 0 then
+    Some (Printf.sprintf "--budget must be >= 0, got %d" s.Config.budget)
+  else None
+
 (* Several flags can write to stdout via "-".  Two NDJSON/JSON streams
    interleaved on one descriptor are garbage for every consumer, so
    the collision is an error, not a surprise. *)
@@ -405,6 +419,11 @@ let analyze path tool granularity sampling jobs prefilter static_elim
       "ftrace: %s would interleave on stdout; write at most one of \
        them to `-'\n"
       clash;
+    1
+  | None -> (
+  match sampling_flag_error tool sampling with
+  | Some msg ->
+    Printf.eprintf "ftrace: %s\n" msg;
     1
   | None -> (
   match load_trace path with
@@ -598,7 +617,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
         trace_out;
       if fail_on_race then if result.warnings = [] then 0 else 1
       else if result.warnings = [] then 0
-      else 2))
+      else 2)))
 
 let analyze_cmd =
   let prefilter =

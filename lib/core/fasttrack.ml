@@ -378,6 +378,12 @@ let on_event d ~index e =
     end
     else analyze d ~index e
 
+(* An access the caller chose not to analyze (the sampling tier's
+   rejected coin): shown to the flight recorder — which documents the
+   trace, not the sample — and dropped before any shadow or sync state
+   is touched.  The caller counts it. *)
+let skip d ~index e = if d.rec_on then record_event d ~index e
+
 let warnings d = Race_log.warnings d.log
 let witnesses d = Race_log.witnesses d.log
 let stats d = d.stats

@@ -25,6 +25,15 @@
 
 include Detector.S
 
+val skip : t -> index:int -> Event.t -> unit
+(** [skip d ~index e] hands an access event [e] that the caller
+    declined to analyze (the sampling tier's rejected coin) to the
+    flight recorder, which documents the trace rather than the
+    sample; it touches no shadow and no sync state, and a no-op with
+    the recorder off.  The caller counts the event in {!Stats}
+    ([events], [reads]/[writes], [skipped]).  {!on_event} remains the
+    plain, unsampled path. *)
+
 (** Observable representation of a variable's shadow state, for
     demonstrations and tests of the adaptive switching (the Figure 4
     trace). *)

@@ -89,9 +89,12 @@ type sampling = {
 
 val default_sampling : sampling
 (** rate 0.02, budget 3, seed 1 — the defaults the A9 CI gate holds
-    at: the burn-in buys full recall of the Table 1 races within the
-    gate's seeded reruns, and the low rate keeps moldyn throughput
-    over 3x sequential FastTrack. *)
+    at.  The sampling detectors are this coin in front of plain
+    FastTrack: the burn-in buys full recall of the Table 1 races
+    within the gate's seeded reruns, and the low rate keeps moldyn
+    throughput over 3x sequential FastTrack.  [rate] must lie in
+    [[0, 1]] and [budget] must be [>= 0] ([Sampler.create] raises
+    otherwise; [ftrace analyze] exits 1 naming the flag). *)
 
 type t = {
   granularity : Shadow.mode;

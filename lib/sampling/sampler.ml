@@ -1,45 +1,8 @@
-module VC = Vector_clock
-module TC = Tree_clock
-
-(* Figure 5's READ_SHARED sentinel, as in lib/core/fasttrack.ml. *)
-let read_shared = Epoch.make ~tid:Epoch.max_tid ~clock:Epoch.max_clock
-
-(* Shadow state per analyzed location — FastTrack's VarState without
-   the profiler cell.  Read vectors stay plain vector clocks (they are
-   per-location access history, not causal pasts; a tree shape would
-   buy nothing), compared against thread tree clocks through the
-   [vc_leq]/[find_gt_vc] interop. *)
-type var_state = {
-  x : Var.t;
-  mutable w : Epoch.t;
-  mutable r : Epoch.t;  (* == read_shared iff rvc is in use *)
-  mutable rvc : VC.t option;
-}
-
-(* record header + 4 fields + hashtable slot, in words *)
-let var_state_words = 7
-
-(* Sync state: a private tree-clock replay when sequential, the shared
-   immutable timeline under the work-stealing plan (mirrors
-   Clock_source's Live/Shared split; the timeline keeps vector clocks,
-   which is fine — values, not representation, drive the rules). *)
-type sync =
-  | Tc of Tc_state.t
-  | Shared of Sync_timeline.cursor
-
-(* The thread clock handle one slow-path access works against. *)
-type ct = Ct_tc of TC.t | Ct_vc of VC.t
-
-type t = {
-  config : Config.t;
-  stats : Stats.t;
-  sync : sync;
-  vars : var_state Shadow.t;
-  log : Race_log.t;
-  adaptive : bool;
-  recorder : Obs_recorder.t;
-  rec_on : bool;
-  (* sampling policy, decomposed for the hot path *)
+(* The sampling tier: a per-variable coin in front of plain FastTrack
+   (see sampler.mli).  The coin's per-variable state, decomposed for
+   the hot path: *)
+type coin = {
+  stats : Stats.t;  (* the detector's, billed for the slot arrays *)
   seed : int;
   budget : int;
   period_shift : int;
@@ -49,25 +12,17 @@ type t = {
   gap_range : int;
   (* degenerate-policy fast flags: when the decision cannot depend on
      the ordinal (rate 1.0, or rate 0.0 with no burn-in budget) the
-     skip path drops the ordinal bookkeeping entirely — the decision
-     stays the same pure function of (seed, var, index), it just
-     became constant *)
+     coin drops the ordinal bookkeeping entirely — the decision stays
+     the same pure function of (seed, var, index), it just became
+     constant *)
   always : bool;
   never : bool;
-  (* per-variable sampling state, obj-then-field arrays (the decision
-     must not touch the Shadow table: the skip path's whole budget is
-     these two loads, a compare and a store).  Each slot packs the
-     variable's access ordinal (low [ord_bits]) with its next sampled
-     coin index + 1 (high bits; 0 = not yet drawn). *)
+  (* obj-then-field arrays (the decision must not touch the detector's
+     Shadow table: the skip path's whole budget is these two loads, a
+     compare and a store).  Each slot packs the variable's access
+     ordinal (low [ord_bits]) with its next sampled coin index + 1
+     (high bits; 0 = not yet drawn). *)
   mutable ords : int array array;
-  (* rule hit counters, fetched once (same names as FastTrack's) *)
-  r_same_epoch : int ref;
-  r_shared : int ref;
-  r_exclusive : int ref;
-  r_share : int ref;
-  w_same_epoch : int ref;
-  w_exclusive : int ref;
-  w_shared : int ref;
 }
 
 let decision_bits = 30
@@ -79,41 +34,22 @@ let decision_mask = (1 lsl decision_bits) - 1
 let ord_bits = 31
 let ord_mask = (1 lsl ord_bits) - 1
 
-let create ~period_shift (config : Config.t) =
-  let stats = Stats.create () in
-  let sampling = config.Config.sampling in
-  let rate =
-    let r = sampling.Config.rate in
-    if r < 0. then 0. else if r > 1. then 1. else r
-  in
-  { config;
-    stats;
-    sync =
-      (match config.Config.sync_source with
-      | Some tl -> Shared (Sync_timeline.cursor tl)
-      | None -> Tc (Tc_state.create stats));
-    vars = Shadow.create config.Config.granularity;
-    log = Race_log.create ~obs:config.Config.obs ();
-    adaptive = (config.Config.granularity = Shadow.Adaptive);
-    recorder = config.Config.recorder;
-    rec_on = Obs_recorder.is_enabled config.Config.recorder;
-    seed = sampling.Config.seed;
-    budget = sampling.Config.budget;
+let create_coin ~period_shift (p : Config.sampling) stats =
+  let rate = p.Config.rate and budget = p.Config.budget in
+  if not (rate >= 0. && rate <= 1.) then
+    invalid_arg "Sampler.create: rate must be within [0, 1]";
+  if budget < 0 then invalid_arg "Sampler.create: budget must be >= 0";
+  { stats;
+    seed = p.Config.seed;
+    budget;
     period_shift;
     gap_range =
       (if rate > 0. && rate < 1. then
          max 1 (int_of_float (Float.round ((2. /. rate) -. 1.)))
        else 0);
     always = rate >= 1.;
-    never = rate <= 0. && sampling.Config.budget <= 0;
-    ords = [||];
-    r_same_epoch = Stats.counter stats "READ SAME EPOCH";
-    r_shared = Stats.counter stats "READ SHARED";
-    r_exclusive = Stats.counter stats "READ EXCLUSIVE";
-    r_share = Stats.counter stats "READ SHARE";
-    w_same_epoch = Stats.counter stats "WRITE SAME EPOCH";
-    w_exclusive = Stats.counter stats "WRITE EXCLUSIVE";
-    w_shared = Stats.counter stats "WRITE SHARED" }
+    never = rate <= 0. && budget = 0;
+    ords = [||] }
 
 (* -- the coin ------------------------------------------------------ *)
 
@@ -207,246 +143,44 @@ let[@inline always] decide d (x : Var.t) =
          next = coin
        end
 
-(* -- sync / clock plumbing (Clock_source dispatch, both reps) ------ *)
+(* -- the detector: the coin in front of FastTrack ------------------ *)
 
-let handle_sync d e =
-  match d.sync with
-  | Tc s -> Tc_state.handle_sync s e
-  | Shared _ -> not (Event.is_access e)
+(* A rejected access is counted here and, with the flight recorder
+   on, handed to [Fasttrack.skip]; every other event — sampled
+   accesses and all sync — takes FastTrack's own path, so sync state
+   comes from the same Clock_source as FastTrack's.
 
-let epoch d ~index t =
-  match d.sync with
-  | Tc s -> Tc_state.epoch s t
-  | Shared cur -> Sync_timeline.epoch cur ~index t
+   The dispatch and the counting live beside [decide]: builds in
+   dune's default (dev) profile compile with -opaque, which rules out
+   inlining across modules, and a call per rejected access cost the
+   skip path ~10 % (moldyn, the A9 gate's workload). *)
+type t = { ft : Fasttrack.t; coin : coin; rec_on : bool }
 
-let thread_ct d ~index t =
-  match d.sync with
-  | Tc s -> Ct_tc (Tc_state.clock s t)
-  | Shared cur -> Ct_vc (Sync_timeline.clock cur ~index t)
+let create ~period_shift (config : Config.t) =
+  let ft = Fasttrack.create config in
+  { ft;
+    coin =
+      create_coin ~period_shift config.Config.sampling (Fasttrack.stats ft);
+    rec_on = Obs_recorder.is_enabled config.Config.recorder }
 
-let[@inline always] ct_epoch_leq e = function
-  | Ct_tc tc -> TC.epoch_leq e tc
-  | Ct_vc vc -> VC.epoch_leq e vc
-
-let ct_find_gt rvc = function
-  | Ct_tc tc -> TC.find_gt_vc rvc tc
-  | Ct_vc vc -> VC.find_gt rvc vc
-
-let ct_to_list = function
-  | Ct_tc tc -> TC.to_list tc
-  | Ct_vc vc -> VC.to_list vc
-
-let clock_list d ~index t =
-  match d.sync with
-  | Tc s -> TC.to_list (Tc_state.clock s t)
-  | Shared cur -> VC.to_list (Sync_timeline.clock cur ~index t)
-
-(* -- FastTrack's access rules (lib/core/fasttrack.ml, kept in sync) - *)
-
-let new_var_state d x =
-  Stats.add_words d.stats var_state_words;
-  { x; w = Epoch.bottom; r = Epoch.bottom; rvc = None }
-
-let var_state d x =
-  match Shadow.find d.vars x with
-  | Some st -> st
-  | None -> Shadow.get d.vars x (new_var_state d)
-
-let report d st ~tid ~index ?prior ?witness kind =
-  if d.adaptive && not (Shadow.refined d.vars st.x) then
-    Shadow.refine d.vars st.x
-  else
-    Race_log.report d.log ~key:(Shadow.key d.vars st.x) ~x:st.x ~tid ~index
-      ~kind ?prior ?witness ()
-
-let prior_of_epoch e =
-  { Warning.prior_tid = Epoch.tid e; prior_clock = Epoch.clock e }
-
-let witness_of d st ~tid ~index ~ct ~prior_e kind =
-  { Witness.key = Shadow.key d.vars st.x;
-    x = st.x;
-    kind;
-    index;
-    first =
-      { Witness.s_tid = Epoch.tid prior_e;
-        s_epoch = prior_e;
-        s_clock = Epoch.clock prior_e;
-        s_index = None;
-        s_vc = clock_list d ~index (Epoch.tid prior_e) };
-    second =
-      { Witness.s_tid = tid;
-        s_epoch = epoch d ~index tid;
-        s_clock = Epoch.clock (epoch d ~index tid);
-        s_index = Some index;
-        s_vc = ct_to_list ct } }
-
-let epoch_op d = d.stats.epoch_ops <- d.stats.epoch_ops + 1
-let vc_op d = d.stats.vc_ops <- d.stats.vc_ops + 1
-
-let read d ~index t x =
-  let st = var_state d x in
-  let te = epoch d ~index t in
-  epoch_op d;
-  if d.config.Config.same_epoch_fast_path && Epoch.equal st.r te then
-    incr d.r_same_epoch
-  else begin
-    let ct = thread_ct d ~index t in
-    (* write-read race? *)
-    epoch_op d;
-    if not (ct_epoch_leq st.w ct) then
-      report d st ~tid:t ~index ~prior:(prior_of_epoch st.w)
-        ~witness:
-          (witness_of d st ~tid:t ~index ~ct ~prior_e:st.w
-             Warning.Write_read)
-        Warning.Write_read;
-    if Epoch.equal st.r read_shared then begin
-      (* [FT READ SHARED] *)
-      (match st.rvc with
-      | Some rvc -> VC.set rvc t (Epoch.clock te)
-      | None -> assert false);
-      incr d.r_shared
+let on_event s ~index e =
+  match e with
+  | Event.Read { x; _ } | Event.Write { x; _ } ->
+    let st = s.coin.stats in
+    if decide s.coin x then begin
+      st.Stats.sampled <- st.Stats.sampled + 1;
+      Fasttrack.on_event s.ft ~index e
     end
     else begin
-      epoch_op d;
-      if ct_epoch_leq st.r ct then begin
-        (* [FT READ EXCLUSIVE] *)
-        st.r <- te;
-        incr d.r_exclusive
-      end
-      else begin
-        (* [FT READ SHARE] *)
-        let rvc =
-          match st.rvc with
-          | Some rvc ->
-            VC.clear rvc;
-            vc_op d;
-            rvc
-          | None ->
-            let rvc = VC.create () in
-            d.stats.vc_allocs <- d.stats.vc_allocs + 1;
-            Stats.add_words d.stats (VC.heap_words rvc);
-            st.rvc <- Some rvc;
-            rvc
-        in
-        VC.set rvc (Epoch.tid st.r) (Epoch.clock st.r);
-        VC.set rvc t (Epoch.clock te);
-        st.r <- read_shared;
-        incr d.r_share
-      end
+      st.Stats.events <- st.Stats.events + 1;
+      (match e with
+      | Event.Read _ -> st.Stats.reads <- st.Stats.reads + 1
+      | _ -> st.Stats.writes <- st.Stats.writes + 1);
+      st.Stats.skipped <- st.Stats.skipped + 1;
+      if s.rec_on then Fasttrack.skip s.ft ~index e
     end
-  end
+  | _ -> Fasttrack.on_event s.ft ~index e
 
-let write d ~index t x =
-  let st = var_state d x in
-  let te = epoch d ~index t in
-  epoch_op d;
-  if d.config.Config.same_epoch_fast_path && Epoch.equal st.w te then
-    incr d.w_same_epoch
-  else begin
-    let ct = thread_ct d ~index t in
-    (* write-write race? *)
-    epoch_op d;
-    if not (ct_epoch_leq st.w ct) then
-      report d st ~tid:t ~index ~prior:(prior_of_epoch st.w)
-        ~witness:
-          (witness_of d st ~tid:t ~index ~ct ~prior_e:st.w
-             Warning.Write_write)
-        Warning.Write_write;
-    (* read-write race? *)
-    if not (Epoch.equal st.r read_shared) then begin
-      (* [FT WRITE EXCLUSIVE] *)
-      epoch_op d;
-      if not (ct_epoch_leq st.r ct) then
-        report d st ~tid:t ~index ~prior:(prior_of_epoch st.r)
-          ~witness:
-            (witness_of d st ~tid:t ~index ~ct ~prior_e:st.r
-               Warning.Read_write)
-          Warning.Read_write;
-      incr d.w_exclusive
-    end
-    else begin
-      (* [FT WRITE SHARED] *)
-      (match st.rvc with
-      | Some rvc -> (
-        vc_op d;
-        match ct_find_gt rvc ct with
-        | Some (u, c) ->
-          report d st ~tid:t ~index
-            ~prior:{ Warning.prior_tid = u; prior_clock = c }
-            ~witness:
-              (witness_of d st ~tid:t ~index ~ct
-                 ~prior_e:(Epoch.make ~tid:u ~clock:c)
-                 Warning.Read_write)
-            Warning.Read_write
-        | None -> ())
-      | None -> assert false);
-      if d.config.Config.read_demotion then st.r <- Epoch.bottom;
-      incr d.w_shared
-    end;
-    st.w <- te
-  end
-
-(* Flight-recorder hook, as in FastTrack (records every access — the
-   recorder documents the trace, not the sample). *)
-let record_event d ~index e =
-  match e with
-  | Event.Read { t; x } ->
-    let te = epoch d ~index t in
-    Obs_recorder.record d.recorder ~key:(Shadow.key d.vars x) ~index
-      ~tid:t ~op:Obs_recorder.Read ~epoch:(Epoch.to_int te)
-      ~clock:(Epoch.clock te)
-  | Event.Write { t; x } ->
-    let te = epoch d ~index t in
-    Obs_recorder.record d.recorder ~key:(Shadow.key d.vars x) ~index
-      ~tid:t ~op:Obs_recorder.Write ~epoch:(Epoch.to_int te)
-      ~clock:(Epoch.clock te)
-  | Event.Acquire { t; m } ->
-    Obs_recorder.note_acquire d.recorder ~tid:t ~lock:m
-  | Event.Release { t; m } ->
-    Obs_recorder.note_release d.recorder ~tid:t ~lock:m
-  | _ -> ()
-
-(* One match per event.  Accesses — the overwhelming majority, and the
-   entire point of the sampling tier — take the first two arms with
-   their stats bumps inlined and never consult [handle_sync] (an
-   access is never a sync event, so that call only re-matched the
-   event to answer "no").  The skip path is: two stats increments, a
-   recorder check, [decide], one more increment. *)
-let on_event d ~index e =
-  match e with
-  | Event.Read { t; x } ->
-    let s = d.stats in
-    s.Stats.events <- s.Stats.events + 1;
-    s.Stats.reads <- s.Stats.reads + 1;
-    if d.rec_on then record_event d ~index e;
-    if decide d x then begin
-      s.Stats.sampled <- s.Stats.sampled + 1;
-      read d ~index t x
-    end
-  | Event.Write { t; x } ->
-    let s = d.stats in
-    s.Stats.events <- s.Stats.events + 1;
-    s.Stats.writes <- s.Stats.writes + 1;
-    if d.rec_on then record_event d ~index e;
-    if decide d x then begin
-      s.Stats.sampled <- s.Stats.sampled + 1;
-      write d ~index t x
-    end
-  | _ ->
-    Stats.count_event d.stats e;
-    if d.rec_on then record_event d ~index e;
-    if not (handle_sync d e) then
-      assert false (* handle_sync covers every non-access event *)
-
-let warnings d = Race_log.warnings d.log
-let witnesses d = Race_log.witnesses d.log
-
-(* [skipped] is a derived counter — every access is either sampled or
-   skipped — settled here rather than bumped on the hot path.  Every
-   reader (the drivers, per-shard and per-item merges, the tests) goes
-   through this accessor at region end, so the field is always
-   consistent when observed. *)
-let stats d =
-  let s = d.stats in
-  s.Stats.skipped <- s.Stats.reads + s.Stats.writes - s.Stats.sampled;
-  s
+let warnings s = Fasttrack.warnings s.ft
+let witnesses s = Fasttrack.witnesses s.ft
+let stats s = s.coin.stats

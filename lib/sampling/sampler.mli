@@ -1,21 +1,23 @@
-(** The sampling tier's detector core (shared by {!Sampling_ft} and
-    {!Sampling_period}).
+(** The sampling tier: a per-access coin in front of plain
+    {!Fasttrack} (shared by {!Sampling_ft} and {!Sampling_period}).
 
-    FastTrack's access rules verbatim, behind a per-access coin: an
-    access outside its variable's burn-in budget is analyzed only when
-    a stateless hash of [(seed, variable, per-variable ordinal)] lands
-    under the configured rate ({!Config.sampling}).  Skipped accesses
-    are counted ([Stats.skipped]) and dropped {e before} touching any
-    shadow state, so every warning the sampler does raise is a genuine
-    happens-before race between two analyzed accesses — sampling loses
-    recall, never precision.  Synchronization events are always
-    processed in full ([Tc_state] live, or the shared [Sync_timeline]
-    under the stealing plan), keeping the timestamps of the analyzed
-    minority sound.
+    An access outside its variable's burn-in budget is analyzed only
+    when a stateless hash of [(seed, variable, per-variable ordinal)]
+    lands under the configured rate ({!Config.sampling}).  The coin
+    keeps no analysis state of its own: a rejected access is counted
+    and handed to {!Fasttrack.skip} (shown to the flight recorder,
+    then dropped before touching any shadow or sync state), and every
+    other event — sampled accesses
+    and all sync — to {!Fasttrack.on_event}.  So every warning the
+    sampler raises is a genuine happens-before race between two
+    analyzed accesses — sampling loses recall, never precision — and
+    at [rate = 1.0] every coin lands, making the samplers FastTrack by
+    construction.
 
-    At [rate = 1.0] every coin lands: warnings and witnesses are
-    byte-identical to FastTrack's (asserted in
-    [test/test_sampling.ml]). *)
+    Each decision is a pure function of [(seed, var, ordinal)], so
+    every plan that sees a variable's accesses in trace order
+    (sequential, both shard plans, static elimination) decides
+    alike. *)
 
 type t
 
@@ -24,7 +26,10 @@ val create : period_shift:int -> Config.t -> t
     [0] tosses a fresh coin per access ({!Sampling_ft}), [k > 0]
     samples whole runs of [2^k] consecutive accesses to the variable
     ({!Sampling_period} uses [k = 4]), trading recall granularity for
-    longer analyzed bursts that can pair both sides of a race. *)
+    longer analyzed bursts that can pair both sides of a race.
+
+    @raise Invalid_argument if the rate is NaN or outside [[0, 1]],
+    or the budget is negative. *)
 
 val on_event : t -> index:int -> Event.t -> unit
 val warnings : t -> Warning.t list
