@@ -39,111 +39,254 @@ let is_sync = function
 
 let equal (a : t) (b : t) = a = b
 
-let pp_var ppf (x : Var.t) =
-  if x.field = 0 then Format.fprintf ppf "x%d" x.obj
-  else Format.fprintf ppf "x%d.%d" x.obj x.field
+(* The text codec: [add_to_buffer] writes the concrete syntax, [scan]
+   reads it back.  Events are written as [name(arg,arg)]; variables as
+   [xN] or [xN.F], locks as [mN], volatiles as [vN]. *)
 
-let pp ppf = function
-  | Read { t; x } -> Format.fprintf ppf "rd(%d,%a)" t pp_var x
-  | Write { t; x } -> Format.fprintf ppf "wr(%d,%a)" t pp_var x
-  | Acquire { t; m } -> Format.fprintf ppf "acq(%d,m%d)" t m
-  | Release { t; m } -> Format.fprintf ppf "rel(%d,m%d)" t m
-  | Fork { t; u } -> Format.fprintf ppf "fork(%d,%d)" t u
-  | Join { t; u } -> Format.fprintf ppf "join(%d,%d)" t u
-  | Volatile_read { t; v } -> Format.fprintf ppf "vrd(%d,v%d)" t v
-  | Volatile_write { t; v } -> Format.fprintf ppf "vwr(%d,v%d)" t v
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
+
+(* [name(t,<prefix>n)] *)
+let add_pair b name t prefix n =
+  Buffer.add_string b name;
+  add_int b t;
+  Buffer.add_char b ',';
+  Buffer.add_string b prefix;
+  add_int b n;
+  Buffer.add_char b ')'
+
+let add_access b name t (x : Var.t) =
+  Buffer.add_string b name;
+  add_int b t;
+  Buffer.add_string b ",x";
+  add_int b x.obj;
+  if x.field <> 0 then begin
+    Buffer.add_char b '.';
+    add_int b x.field
+  end;
+  Buffer.add_char b ')'
+
+let add_single b name t =
+  Buffer.add_string b name;
+  add_int b t;
+  Buffer.add_char b ')'
+
+let add_to_buffer b = function
+  | Read { t; x } -> add_access b "rd(" t x
+  | Write { t; x } -> add_access b "wr(" t x
+  | Acquire { t; m } -> add_pair b "acq(" t "m" m
+  | Release { t; m } -> add_pair b "rel(" t "m" m
+  | Fork { t; u } -> add_pair b "fork(" t "" u
+  | Join { t; u } -> add_pair b "join(" t "" u
+  | Volatile_read { t; v } -> add_pair b "vrd(" t "v" v
+  | Volatile_write { t; v } -> add_pair b "vwr(" t "v" v
   | Barrier_release { threads } ->
-    Format.fprintf ppf "barrier(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Format.pp_print_int)
-      threads
-  | Txn_begin { t } -> Format.fprintf ppf "begin(%d)" t
-  | Txn_end { t } -> Format.fprintf ppf "end(%d)" t
+    Buffer.add_string b "barrier(";
+    List.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_char b ',';
+        add_int b t)
+      threads;
+    Buffer.add_char b ')'
+  | Txn_begin { t } -> add_single b "begin(" t
+  | Txn_end { t } -> add_single b "end(" t
 
-let to_string e = Format.asprintf "%a" pp e
+let to_string e =
+  let b = Buffer.create 16 in
+  add_to_buffer b e;
+  Buffer.contents b
 
-(* Concrete-syntax parser for the printer above.  Events are written as
-   [name(arg,arg)]; variables as [xN] or [xN.F], locks as [mN],
-   volatiles as [vN]. *)
-let of_string s =
-  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  let s = String.trim s in
-  match String.index_opt s '(' with
-  | None -> fail "missing '(' in %S" s
-  | Some i ->
-    if String.length s = 0 || s.[String.length s - 1] <> ')' then
-      fail "missing ')' in %S" s
+let pp ppf e = Format.pp_print_string ppf (to_string e)
+
+(* The scanner: a cursor reads one event's text left to right, in
+   place, once; it allocates nothing but the event and its variable.
+   Errors travel as the exceptions below up to [scan], which alone
+   formats a message.  The small steps are inlined: parsing is the
+   main cost of analysing a recorded trace. *)
+
+type cursor = { text : string; mutable pos : int; mutable stop : int }
+
+let cursor text = { text; pos = 0; stop = 0 }
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+exception Unknown_event (* an unknown name, or the wrong number of args *)
+exception Bad_args
+
+exception Over_limit of {
+  what : string;
+  bound : string;
+  limit : int;
+  lo : int;
+  hi : int;
+}
+
+let rec skip_blanks s i hi =
+  if i < hi && is_blank (String.unsafe_get s i) then skip_blanks s (i + 1) hi
+  else i
+
+let rec trim_end s lo i =
+  if i > lo && is_blank (String.unsafe_get s (i - 1)) then trim_end s lo (i - 1)
+  else i
+
+let rec index s ch i hi =
+  if i >= hi then -1
+  else if String.unsafe_get s i = ch then i
+  else index s ch (i + 1) hi
+
+(* The character under the cursor; the closing ')' at [stop]. *)
+let[@inline] peek c =
+  if c.pos < c.stop then String.unsafe_get c.text c.pos else ')'
+
+(* Reads the digit run at [i] onto [n]; [n] turns -1 once it exceeds
+   [limit], which also catches runs too long for an [int]. *)
+let rec digits_from c i limit n =
+  match if i < c.stop then String.unsafe_get c.text i else ')' with
+  | '0' .. '9' as ch ->
+    let d = Char.code ch - 48 in
+    digits_from c (i + 1) limit
+      (if n < 0 || n > (limit - d) / 10 then -1 else (n * 10) + d)
+  | _ ->
+    c.pos <- i;
+    n
+
+let[@inline] number c ~what ~bound ~limit =
+  let lo = c.pos in
+  let n = digits_from c lo limit 0 in
+  if c.pos = lo then raise Bad_args;
+  if n < 0 then raise (Over_limit { what; bound; limit; lo; hi = c.pos });
+  n
+
+(* One argument: blanks, [prefix] (a letter, or '\000' for none), a
+   number, blanks. *)
+let[@inline] arg c prefix ~what ~bound ~limit =
+  c.pos <- skip_blanks c.text c.pos c.stop;
+  if prefix <> '\000' then
+    if peek c = prefix then c.pos <- c.pos + 1 else raise Bad_args;
+  let n = number c ~what ~bound ~limit in
+  c.pos <- skip_blanks c.text c.pos c.stop;
+  n
+
+let[@inline] thread_id c =
+  arg c '\000' ~what:"tid" ~bound:"Tid.max" ~limit:Tid.max
+
+let[@inline] lock_id c =
+  arg c 'm' ~what:"lock" ~bound:"max_int" ~limit:max_int
+
+let[@inline] volatile_id c =
+  arg c 'v' ~what:"volatile" ~bound:"max_int" ~limit:max_int
+
+let[@inline] variable c : Var.t =
+  c.pos <- skip_blanks c.text c.pos c.stop;
+  if peek c <> 'x' then raise Bad_args;
+  c.pos <- c.pos + 1;
+  let obj = number c ~what:"object" ~bound:"Var.max_obj" ~limit:Var.max_obj in
+  let field =
+    if peek c <> '.' then 0
     else begin
-      let name = String.sub s 0 i in
-      let args = String.sub s (i + 1) (String.length s - i - 2) in
-      let parts = String.split_on_char ',' args in
-      let int_of s = int_of_string_opt (String.trim s) in
-      let prefixed_int prefix s =
-        let s = String.trim s in
-        let n = String.length prefix in
-        if String.length s > n && String.sub s 0 n = prefix then
-          int_of_string_opt (String.sub s n (String.length s - n))
-        else None
-      in
-      let var_of s =
-        let s = String.trim s in
-        if String.length s < 2 || s.[0] <> 'x' then None
-        else
-          let body = String.sub s 1 (String.length s - 1) in
-          match String.split_on_char '.' body with
-          | [ o ] -> Option.map Var.scalar (int_of_string_opt o)
-          | [ o; f ] ->
-            (match (int_of_string_opt o, int_of_string_opt f) with
-            | Some obj, Some field -> Some (Var.make ~obj ~field)
-            | _ -> None)
-          | _ -> None
-      in
-      match (name, parts) with
-      | "rd", [ t; x ] -> (
-        match (int_of t, var_of x) with
-        | Some t, Some x -> Ok (Read { t; x })
-        | _ -> fail "bad rd args in %S" s)
-      | "wr", [ t; x ] -> (
-        match (int_of t, var_of x) with
-        | Some t, Some x -> Ok (Write { t; x })
-        | _ -> fail "bad wr args in %S" s)
-      | "acq", [ t; m ] -> (
-        match (int_of t, prefixed_int "m" m) with
-        | Some t, Some m -> Ok (Acquire { t; m })
-        | _ -> fail "bad acq args in %S" s)
-      | "rel", [ t; m ] -> (
-        match (int_of t, prefixed_int "m" m) with
-        | Some t, Some m -> Ok (Release { t; m })
-        | _ -> fail "bad rel args in %S" s)
-      | "fork", [ t; u ] -> (
-        match (int_of t, int_of u) with
-        | Some t, Some u -> Ok (Fork { t; u })
-        | _ -> fail "bad fork args in %S" s)
-      | "join", [ t; u ] -> (
-        match (int_of t, int_of u) with
-        | Some t, Some u -> Ok (Join { t; u })
-        | _ -> fail "bad join args in %S" s)
-      | "vrd", [ t; v ] -> (
-        match (int_of t, prefixed_int "v" v) with
-        | Some t, Some v -> Ok (Volatile_read { t; v })
-        | _ -> fail "bad vrd args in %S" s)
-      | "vwr", [ t; v ] -> (
-        match (int_of t, prefixed_int "v" v) with
-        | Some t, Some v -> Ok (Volatile_write { t; v })
-        | _ -> fail "bad vwr args in %S" s)
-      | "barrier", parts -> (
-        let threads = List.filter_map int_of parts in
-        if List.length threads = List.length parts && threads <> [] then
-          Ok (Barrier_release { threads })
-        else fail "bad barrier args in %S" s)
-      | "begin", [ t ] -> (
-        match int_of t with
-        | Some t -> Ok (Txn_begin { t })
-        | None -> fail "bad begin args in %S" s)
-      | "end", [ t ] -> (
-        match int_of t with
-        | Some t -> Ok (Txn_end { t })
-        | None -> fail "bad end args in %S" s)
-      | _ -> fail "unknown event %S" s
+      c.pos <- c.pos + 1;
+      number c ~what:"field" ~bound:"Var.max_field" ~limit:Var.max_field
     end
+  in
+  c.pos <- skip_blanks c.text c.pos c.stop;
+  { obj; field }
+
+(* The comma after an argument that is not the last.  [stop] sits on
+   the closing ')', so reaching it means too few arguments. *)
+let[@inline] comma c =
+  if c.pos = c.stop then raise Unknown_event
+  else if String.unsafe_get c.text c.pos = ',' then c.pos <- c.pos + 1
+  else raise Bad_args
+
+(* [ending c v]: [v], the value of the last argument, must end the list. *)
+let[@inline] ending c v =
+  if c.pos = c.stop then v
+  else if String.unsafe_get c.text c.pos = ',' then raise Unknown_event
+  else raise Bad_args
+
+let[@inline] thread_id_comma c =
+  let t = thread_id c in
+  comma c;
+  t
+
+let rec barrier_tids c =
+  let t = thread_id c in
+  if c.pos = c.stop then [ t ]
+  else begin
+    comma c;
+    t :: barrier_tids c
+  end
+
+let rec named s lo lit k =
+  k = String.length lit
+  || (String.unsafe_get s (lo + k) = String.unsafe_get lit k
+     && named s lo lit (k + 1))
+
+let[@inline] is s lo lp lit = lp - lo = String.length lit && named s lo lit 0
+
+(* The event named [s.[lo..lp-1]]; the cursor is on its first
+   argument. *)
+let event c lo lp =
+  let s = c.text in
+  if is s lo lp "rd" then
+    let t = thread_id_comma c in
+    Read { t; x = ending c (variable c) }
+  else if is s lo lp "wr" then
+    let t = thread_id_comma c in
+    Write { t; x = ending c (variable c) }
+  else if is s lo lp "acq" then
+    let t = thread_id_comma c in
+    Acquire { t; m = ending c (lock_id c) }
+  else if is s lo lp "rel" then
+    let t = thread_id_comma c in
+    Release { t; m = ending c (lock_id c) }
+  else if is s lo lp "fork" then
+    let t = thread_id_comma c in
+    Fork { t; u = ending c (thread_id c) }
+  else if is s lo lp "join" then
+    let t = thread_id_comma c in
+    Join { t; u = ending c (thread_id c) }
+  else if is s lo lp "vrd" then
+    let t = thread_id_comma c in
+    Volatile_read { t; v = ending c (volatile_id c) }
+  else if is s lo lp "vwr" then
+    let t = thread_id_comma c in
+    Volatile_write { t; v = ending c (volatile_id c) }
+  else if is s lo lp "barrier" then
+    Barrier_release { threads = barrier_tids c }
+  else if is s lo lp "begin" then Txn_begin { t = ending c (thread_id c) }
+  else if is s lo lp "end" then Txn_end { t = ending c (thread_id c) }
+  else raise Unknown_event
+
+let sub s lo hi = String.sub s lo (hi - lo)
+
+let scan c lo hi =
+  let s = c.text in
+  let lo = skip_blanks s lo hi in
+  let hi = trim_end s lo hi in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let lp = index s '(' lo hi in
+  if lp < 0 then fail "missing '(' in %S" (sub s lo hi)
+  else if String.unsafe_get s (hi - 1) <> ')' then
+    fail "missing ')' in %S" (sub s lo hi)
+  else begin
+    c.pos <- lp + 1;
+    c.stop <- hi - 1;
+    match event c lo lp with
+    | e -> e
+    | exception Unknown_event -> fail "unknown event %S" (sub s lo hi)
+    | exception Bad_args ->
+      fail "bad %s args in %S" (sub s lo lp) (sub s lo hi)
+    | exception Over_limit { what; bound; limit; lo = a; hi = b } ->
+      fail "%s %s exceeds %s = %d in %S" what (sub s a b) bound limit
+        (sub s lo hi)
+  end
+
+let of_string s =
+  match scan (cursor s) 0 (String.length s) with
+  | e -> Ok e
+  | exception Failure msg -> Error msg

@@ -35,9 +35,40 @@ val is_sync : t -> bool
     marker. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+
+(** {2 Text form}
+
+    One event is written [name(arg,...)], exactly as {!to_string}
+    prints it: [rd(t,x)], [wr(t,x)], [acq(t,m)], [rel(t,m)],
+    [fork(t,u)], [join(t,u)], [vrd(t,v)], [vwr(t,v)],
+    [barrier(t,...)], [begin(t)] and [end(t)], where a variable is
+    [xN] or [xN.F], a lock [mN] and a volatile [vN].  Blanks
+    ({!is_blank}) may surround the event and each argument.  Ids are
+    non-negative decimal integers; thread ids are at most {!Tid.max},
+    objects at most {!Var.max_obj}, fields at most {!Var.max_field},
+    and locks and volatiles fit an [int]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the text form of the event. *)
+
 val to_string : t -> string
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
+
+val is_blank : char -> bool
+(** [String.trim]'s whitespace: space, tab, CR, LF and form feed. *)
+
+type cursor
+(** A scanning position in one input string. *)
+
+val cursor : string -> cursor
+
+val scan : cursor -> int -> int -> t
+(** [scan c lo hi] parses the event written in [s.[lo..hi-1]] of the
+    cursor's string [s], in place, allocating nothing but the event.
+    It is the one scanner behind {!of_string} and {!Trace.of_string}.
+    @raise Failure with the message {!of_string} returns. *)
 
 val of_string : string -> (t, string) result
-(** Parses the concrete syntax produced by {!to_string}
-    (e.g. ["rd(1,x3)"], ["acq(0,m2)"], ["barrier(0,1,2)"]). *)
+(** Parses the text form of one event (e.g. ["rd(1,x3)"],
+    ["acq(0,m2)"], ["barrier(0,1,2)"]).  Never raises. *)

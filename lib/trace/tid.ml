@@ -1,5 +1,7 @@
 type t = int
 
+let max = 4095
+
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t

@@ -5,6 +5,10 @@
 
 type t = int
 
+val max : t
+(** Largest thread id a trace file may name (4095): tids index dense
+    per-thread tables, so {!Event.scan} refuses larger ones. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

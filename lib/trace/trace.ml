@@ -79,21 +79,14 @@ let append a b = Array.append a b
 let pp ppf tr =
   Array.iter (fun e -> Format.fprintf ppf "%a@." Event.pp e) tr
 
-let to_string tr = Format.asprintf "%a" pp tr
-
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go acc = function
-    | [] -> Ok (of_list (List.rev acc))
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc rest
-      else (
-        match Event.of_string line with
-        | Ok e -> go (e :: acc) rest
-        | Error msg -> Error msg)
-  in
-  go [] lines
+let to_string tr =
+  let b = Buffer.create (12 * Array.length tr) in
+  Array.iter
+    (fun e ->
+      Event.add_to_buffer b e;
+      Buffer.add_char b '\n')
+    tr;
+  Buffer.contents b
 
 module Builder = struct
   type t = { mutable events : Event.t array; mutable len : int }
@@ -115,3 +108,33 @@ module Builder = struct
   let length b = b.len
   let build b = Array.sub b.events 0 b.len
 end
+
+(* One pass over [s]: one cursor scans each line in place and its event
+   is appended to a builder. *)
+let of_string s =
+  let b = Builder.create () in
+  let c = Event.cursor s in
+  let len = String.length s in
+  let rec eol i =
+    if i < len && String.unsafe_get s i <> '\n' then eol (i + 1) else i
+  in
+  let rec skip_blanks i hi =
+    if i < hi && Event.is_blank (String.unsafe_get s i) then
+      skip_blanks (i + 1) hi
+    else i
+  in
+  let rec line n lo =
+    if lo > len then Ok (Builder.build b)
+    else
+      let hi = eol lo in
+      let first = skip_blanks lo hi in
+      if first = hi || String.unsafe_get s first = '#' then
+        line (n + 1) (hi + 1)
+      else
+        match Event.scan c first hi with
+        | e ->
+          Builder.add b e;
+          line (n + 1) (hi + 1)
+        | exception Failure msg -> Error (Printf.sprintf "line %d: %s" n msg)
+  in
+  line 1 0

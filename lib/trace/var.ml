@@ -4,6 +4,7 @@ type granularity = Fine | Coarse
 
 let field_bits = 16
 let max_field = (1 lsl field_bits) - 1
+let max_obj = (1 lsl 22) - 1
 
 let make ~obj ~field =
   if obj < 0 then invalid_arg "Var.make: negative obj";

@@ -24,6 +24,11 @@ val scalar : int -> t
 val max_field : int
 (** Largest representable field index. *)
 
+val max_obj : int
+(** Largest object id a trace file may name (2{^22} - 1): shadow
+    memory keeps a dense per-object table, so {!Event.scan} refuses
+    larger ones. *)
+
 val key : granularity -> t -> int
 (** [key g x] is the shadow-memory key for [x] under granularity [g]:
     distinct variables get distinct keys under [Fine]; variables of the

@@ -19,7 +19,7 @@ let test_event_parse_roundtrip () =
   let cases =
     [ "rd(1,x3)"; "wr(0,x2.5)"; "acq(2,m1)"; "rel(2,m1)"; "fork(0,1)";
       "join(0,1)"; "vrd(1,v0)"; "vwr(1,v0)"; "barrier(1,2,3)"; "begin(4)";
-      "end(4)" ]
+      "end(4)"; "rd(4095,x4194303.65535)" ]
   in
   List.iter
     (fun s ->
@@ -36,7 +36,13 @@ let test_event_parse_errors () =
       | Ok e -> Alcotest.failf "%s should not parse (got %s)" s
                   (Event.to_string e))
     [ ""; "rd"; "rd(1)"; "rd(x,1)"; "frobnicate(1,2)"; "rd(1,m3)";
-      "acq(1,x3)"; "barrier()"; "rd(1,x3" ]
+      "acq(1,x3)"; "barrier()"; "rd(1,x3";
+      (* ids are non-negative decimal integers that fit their table *)
+      "rd(0,x-1)"; "rd(0,x1.70000)"; "rd(-3,x1)"; "acq(0,m-1)";
+      "vwr(0,v-1)"; "acq(0,m99999999999999999999)";
+      "rd(0,x99999999999999999999)"; "rd(+1,x1)"; "rd(0x1,x1)";
+      "rd(1_0,x1)"; "rd(4096,x1)"; "fork(0,4096)"; "barrier(0,4096)";
+      "rd(0,x4194304)" ]
 
 let prop_event_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -95,6 +101,111 @@ let test_trace_text_comments () =
   | Ok tr -> Alcotest.(check int) "two events" 2 (Trace.length tr)
   | Error msg -> Alcotest.fail msg
 
+let test_trace_text_errors () =
+  let check name text expected =
+    Alcotest.(check (result reject string)) name (Error expected)
+      (Result.map (fun _ -> ()) (Trace.of_string text))
+  in
+  check "line number" "# header\nrd(0,x1)\nrd(0,x-1)\n"
+    {|line 3: bad rd args in "rd(0,x-1)"|};
+  check "tid limit" "rd(4096,x1)"
+    {|line 1: tid 4096 exceeds Tid.max = 4095 in "rd(4096,x1)"|};
+  check "object limit" "\r\nwr(0,x4194304.1)\r\n"
+    ({|line 2: object 4194304 exceeds Var.max_obj = 4194303 in |}
+    ^ {|"wr(0,x4194304.1)"|})
+
+(* Decorates the text of [tr] the ways the grammar allows: blank and
+   comment lines, CRLF endings, blanks around each event and argument. *)
+let noisy_text seed tr =
+  let rng = Random.State.make [| seed |] in
+  let blank () = [| ""; " "; "\t"; " \t " |].(Random.State.int rng 4) in
+  let b = Buffer.create 256 in
+  Trace.iter
+    (fun e ->
+      (match Random.State.int rng 6 with
+      | 0 -> Buffer.add_string b (blank () ^ "\n")
+      | 1 -> Buffer.add_string b "# rd(0,x1) is a comment\r\n"
+      | _ -> ());
+      Buffer.add_string b (blank ());
+      String.iter
+        (function
+          | '(' -> Buffer.add_string b ("(" ^ blank ())
+          | ',' -> Buffer.add_string b (blank () ^ "," ^ blank ())
+          | ')' -> Buffer.add_string b (blank () ^ ")")
+          | c -> Buffer.add_char b c)
+        (Event.to_string e);
+      Buffer.add_string b (blank ());
+      Buffer.add_string b (if Random.State.bool rng then "\r\n" else "\n"))
+    tr;
+  Buffer.contents b
+
+let prop_noisy_text =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"noisy trace text parses back"
+       ~print:(fun (tr, seed) -> noisy_text seed tr)
+       QCheck2.Gen.(pair Helpers.gen_trace (int_range 0 1_000_000))
+       (fun (tr, seed) ->
+         match Trace.of_string (noisy_text seed tr) with
+         | Ok tr' -> Trace.to_list tr' = Trace.to_list tr
+         | Error _ -> false))
+
+(* Event lines with up to three random edits drawn from the grammar's
+   own characters and a few it refuses. *)
+let gen_line =
+  QCheck2.Gen.(
+    let* e = Helpers.gen_event in
+    let* edits =
+      list_size (int_range 0 3)
+        (triple (int_range 0 3) nat
+           (oneofl (List.of_seq (String.to_seq "(),.#xmv09-+_ \t\rbdq"))))
+    in
+    let edit s (kind, at, c) =
+      let n = String.length s in
+      let at = if n = 0 then 0 else at mod n in
+      match kind with
+      | 0 -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+      | 1 when n > 0 -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+      | 2 when n > 0 -> String.mapi (fun i d -> if i = at then c else d) s
+      | _ -> s ^ "9"
+    in
+    return (List.fold_left edit (Event.to_string e) edits))
+
+let prop_line_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"Event.of_string = one-line trace"
+       ~print:(fun l -> l) gen_line (fun l ->
+         let skipped =
+           let t = String.trim l in
+           t = "" || t.[0] = '#'
+         in
+         match (Event.of_string l, Trace.of_string l) with
+         | Ok e, Ok tr -> Trace.to_list tr = [ e ]
+         | Error m, Error m' -> m' = "line 1: " ^ m
+         | Error _, Ok tr -> skipped && Trace.length tr = 0
+         | Ok _, Error _ -> false))
+
+(* Digests of the text form, pinned so that the bytes the printer writes
+   (and every trace file written so far) never change. *)
+let test_text_pinned () =
+  let digest tr = Digest.to_hex (Digest.string (Trace.to_string tr)) in
+  let model name =
+    match Workloads.find name with
+    | Some w -> Workload.trace w
+    | None -> Alcotest.failf "no workload %s" name
+  in
+  List.iter
+    (fun (name, tr, expected) ->
+      Alcotest.(check string) name expected (digest tr))
+    [ ("mtrt", model "mtrt", "9158eb6ca16b49617e03f5bfcca2cc1a");
+      ("hedc", model "hedc", "026f8e810e457572fe7b1fed5df71542");
+      ("eclipse-debug", model "eclipse-debug",
+       "8a6932cc1e1fd75a7d8c169f2502e198");
+      ("trace_gen",
+       Trace_gen.generate ~seed:42
+         { Trace_gen.threads = 4; vars = 8; locks = 3; volatiles = 2;
+           length = 200; profile = Trace_gen.Mixed; barriers = true },
+       "349c50449d3f8cdce6346e6ba66e59a4") ]
+
 let test_append () =
   let a = Trace.of_list [ e_rd 0 0 ] in
   let b = Trace.of_list [ e_wr 0 1 ] in
@@ -122,5 +233,9 @@ let suite =
       Alcotest.test_case "thread count" `Quick test_thread_count;
       Alcotest.test_case "text roundtrip" `Quick test_trace_text_roundtrip;
       Alcotest.test_case "text comments" `Quick test_trace_text_comments;
+      Alcotest.test_case "text errors" `Quick test_trace_text_errors;
+      prop_noisy_text;
+      prop_line_agreement;
+      Alcotest.test_case "text pinned" `Quick test_text_pinned;
       Alcotest.test_case "append" `Quick test_append;
       Alcotest.test_case "var keys" `Quick test_var_keys ] )

@@ -93,15 +93,20 @@ let test_scale_grows_trace () =
     (n3 > 2 * n1 && n3 < 4 * n1)
 
 let test_trace_text_roundtrip () =
-  (* workload traces survive the CLI's textual format *)
-  let w = Option.get (Workloads.find "jbb") in
-  let tr = Workload.trace ~scale:1 w in
-  match Trace.of_string (Trace.to_string tr) with
-  | Error msg -> Alcotest.fail msg
-  | Ok tr' ->
-    Alcotest.(check int) "same length" (Trace.length tr) (Trace.length tr');
-    Alcotest.(check int) "same verdicts" (run (module Fasttrack) tr)
-      (run (module Fasttrack) tr')
+  (* every workload trace survives the CLI's textual format *)
+  List.iter
+    (fun (w : Workload.t) ->
+      let tr = Workload.trace ~scale:1 w in
+      match Trace.of_string (Trace.to_string tr) with
+      | Error msg -> Alcotest.failf "%s: %s" w.name msg
+      | Ok tr' ->
+        Alcotest.(check int) (w.name ^ " length") (Trace.length tr)
+          (Trace.length tr');
+        Alcotest.(check bool) (w.name ^ " same events") true
+          (Trace.to_list tr' = Trace.to_list tr);
+        Alcotest.(check int) (w.name ^ " same verdicts")
+          (run (module Fasttrack) tr) (run (module Fasttrack) tr'))
+    Workloads.all
 
 let test_thread_counts_match_table1 () =
   List.iter2
