@@ -49,7 +49,9 @@ val epoch : t -> index:int -> Tid.t -> Epoch.t
 
 val clock : t -> index:int -> Tid.t -> Vector_clock.t
 (** Thread [t]'s vector clock as of [index].  In Shared mode this is
-    an interned snapshot shared across domains: read-only. *)
+    the cursor's materialised clock for [t]: read-only, and valid
+    until the next [clock] lookup for [t] (Live: until the next sync
+    event). *)
 
 val thread_count : t -> int
 

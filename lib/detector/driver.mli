@@ -99,8 +99,9 @@ val run_parallel :
     {e Work stealing} (the default whenever the detector
     [shares_clocks] and the flight recorder is off): one sequential
     pass builds the immutable {!Sync_timeline} — per-thread
-    checkpoints of every sync event's post-state with interned,
-    structurally shared clock snapshots — and the trace's access
+    checkpoints of every sync event's post-state, each clock stored
+    as the entries the event raised plus periodic keyframes — and
+    the trace's access
     events are split into [Shard.default_steal_factor x jobs]
     fine-grained items ([obj mod slots], LPT-sorted).  [jobs] workers
     pull items dynamically ({!Domain_pool.run_queue}); each item runs

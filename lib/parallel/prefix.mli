@@ -20,7 +20,7 @@
       one dedicated builder domain consumes the segments' sync-event
       runs strictly in segment order, {!Sync_timeline.feed}ing them
       into an incremental machine — the same index sequence the
-      one-shot build replays, so checkpoints, interned snapshots,
+      one-shot build replays, so checkpoints, deltas, keyframes,
       cursor semantics and every stats counter are identical
       ([test/test_prefix.ml] asserts all of it);
     - stitching the per-slot runs overlaps the builder's tail; the

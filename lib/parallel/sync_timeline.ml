@@ -4,21 +4,27 @@
    One sequential pass over the trace replays every synchronization
    event through a private vector-clock machine (the same Figure 3 /
    Section 4 rules as Vc_state — asserted equal in
-   test/test_timeline.ml) and checkpoints, per thread, the post-event
-   clock and epoch.  Sync events are ~3% of the stream, so the
-   timeline is small, built once, and then shared read-only by every
-   analysis domain — replacing the jobs× redundant private sync
-   replays of the original sharded driver. *)
+   test/test_timeline.ml) and checkpoints, per thread, the clock
+   entries each event raised and the epoch.  Sync events are ~3% of
+   the stream, so the timeline is small, built once, and then shared
+   read-only by every analysis domain — replacing the jobs× redundant
+   private sync replays of the original sharded driver. *)
 
 module VC = Vector_clock
 
 (* -- immutable timeline ------------------------------------------- *)
 
-type checkpoint = {
-  at : int;  (* trace index of the sync event; -1 for the initial state *)
-  vc : VC.t;  (* interned snapshot — read-only, shared across threads *)
-  ep : Epoch.t;  (* cached E(t) = vc(t)@t *)
+(* One thread's clock checkpoints, as parallel arrays ([at]
+   increasing).  Checkpoint [i]'s clock is keyframe [i / key_every]
+   with the deltas after it up to [delta.(i)] applied in order. *)
+type clocks = {
+  at : int array;  (* trace index of the sync event; -1 for the initial state *)
+  ep : Epoch.t array;  (* cached E(t) = C_t(t)@t *)
+  delta : int array array;  (* [|u; c; ...|] raised over i-1; [||] at keys *)
+  keys : VC.t array;  (* full clock at every [key_every]-th checkpoint *)
 }
+
+let key_every = 32
 
 type lock_checkpoint = {
   lat : int;  (* trace index of the acquire/release; -1 initial *)
@@ -32,14 +38,14 @@ type stats = {
   vc_ops : int;  (* O(n) clock operations of the replay, as Vc_state counts *)
   vc_allocs : int;  (* live-machine clock allocations *)
   checkpoints : int;  (* clock checkpoints recorded across all threads *)
-  snapshots : int;  (* distinct interned snapshot vectors *)
-  snapshot_hits : int;  (* checkpoints served by interning / no-change *)
-  words : int;  (* approx heap words of the timeline (snapshots + tables) *)
+  snapshots : int;  (* keyframes: Σ_t ⌈checkpoints_t / key_every⌉ *)
+  snapshot_hits : int;  (* sync events that left a written clock unchanged *)
+  words : int;  (* approx heap words of the timeline (keys, deltas, tables) *)
 }
 
 type t = {
   nthreads : int;
-  clocks : checkpoint array array;  (* [tid] -> checkpoints, .at increasing *)
+  clocks : clocks array;  (* [tid] -> clock checkpoints *)
   locks : lock_checkpoint array array;  (* [tid] -> held-lock checkpoints *)
   barriers : int array;  (* indices of Barrier_release events, increasing *)
   stats : stats;
@@ -55,21 +61,20 @@ type machine = {
   m_locks : (Lockid.t, VC.t) Hashtbl.t;
   m_volatiles : (Volatile.t, VC.t) Hashtbl.t;
   (* per-thread checkpoint accumulators, reverse chronological *)
-  mutable cps : checkpoint list array;
+  mutable last : VC.t array;  (* clock at the thread's last checkpoint *)
+  mutable cps : (int * Epoch.t * int array) list array;  (* at, ep, delta *)
+  mutable keys_rev : VC.t list array;
+  mutable ncps : int array;  (* checkpoints so far *)
+  mutable buf : int array;  (* VC.advance scratch: 2 ints per thread *)
   mutable held : Lockid.t list array;  (* live held-lock set, sorted *)
   mutable held_cps : lock_checkpoint list array;
   mutable held_n : int array;  (* checkpoints so far = next stamp *)
   mutable barriers_rev : int list;
-  (* interning pool: logical clock contents (trailing zeros trimmed,
-     cf. VC.to_list) -> the shared snapshot *)
-  intern : (int list, VC.t) Hashtbl.t;
   (* counters *)
   mutable c_sync : int;
   mutable c_other : int;
   mutable c_vc_ops : int;
   mutable c_vc_allocs : int;
-  mutable c_checkpoints : int;
-  mutable c_snapshots : int;
   mutable c_snapshot_hits : int;
   mutable c_words : int;
 }
@@ -85,38 +90,29 @@ let sync_vc m table key =
     m.c_vc_allocs <- m.c_vc_allocs + 1;
     v
 
-(* Intern a snapshot of thread [t]'s current clock.  Keyed on the
-   trimmed logical contents, so structurally equal clocks — the common
-   case when a thread re-acquires a lock it released, leaving its
-   clock unchanged — share one vector. *)
-let snapshot m t =
-  let key = VC.to_list m.m_clocks.(t) in
-  match Hashtbl.find_opt m.intern key with
-  | Some v ->
-    m.c_snapshot_hits <- m.c_snapshot_hits + 1;
-    v
-  | None ->
-    let v = VC.of_list key in
-    Hashtbl.replace m.intern key v;
-    m.c_snapshots <- m.c_snapshots + 1;
-    (* snapshot vector + intern key list (3 words per cons) + slot *)
-    m.c_words <- m.c_words + VC.heap_words v + (3 * List.length key) + 2;
-    v
-
-(* Record thread [t]'s post-event state.  Skipped when the clock is
-   unchanged since [t]'s previous checkpoint: lookups then resolve to
-   the earlier, identical snapshot. *)
+(* Record thread [t]'s post-event state as the entries its clock
+   raised since its previous checkpoint, plus a full keyframe every
+   [key_every] checkpoints.  Skipped when nothing changed: lookups then
+   resolve to the earlier, identical checkpoint. *)
 let checkpoint m ~index t =
-  let ep = Epoch.make ~tid:t ~clock:(VC.get m.m_clocks.(t) t) in
-  match m.cps.(t) with
-  | { vc; ep = prev_ep; _ } :: _
-    when Epoch.equal prev_ep ep && VC.equal vc m.m_clocks.(t) ->
-    m.c_snapshot_hits <- m.c_snapshot_hits + 1
-  | _ ->
-    let vc = snapshot m t in
-    m.cps.(t) <- { at = index; vc; ep } :: m.cps.(t);
-    m.c_checkpoints <- m.c_checkpoints + 1;
-    m.c_words <- m.c_words + 5 (* checkpoint record *)
+  let ct = m.m_clocks.(t) in
+  let raised = VC.advance ~last:m.last.(t) ct m.buf in
+  if raised = 0 then m.c_snapshot_hits <- m.c_snapshot_hits + 1
+  else begin
+    let delta =
+      if m.ncps.(t) mod key_every <> 0 then Array.sub m.buf 0 (2 * raised)
+      else begin
+        let key = VC.copy m.last.(t) in
+        m.keys_rev.(t) <- key :: m.keys_rev.(t);
+        m.c_words <- m.c_words + VC.heap_words key;
+        [||]
+      end
+    in
+    m.cps.(t) <- (index, VC.epoch_of ct t, delta) :: m.cps.(t);
+    m.ncps.(t) <- m.ncps.(t) + 1;
+    (* at, ep and delta slots, key slot or delta header, the pairs *)
+    m.c_words <- m.c_words + 4 + Array.length delta
+  end
 
 let held_checkpoint m ~index t held =
   let stamp = m.held_n.(t) + 1 in
@@ -205,13 +201,11 @@ let handle_sync_event m ~index e =
    doubling): it happens at most once per distinct tid, and thread
    counts are tiny next to trace lengths.
 
-   Stats equality with the fixed-size build: totals are sums, so only
-   interning *hit patterns* could diverge with creation order — and
-   they cannot: an initial snapshot's content (1 at t, 0 elsewhere) is
-   reachable only by thread t's own unchanged clock (any other thread
-   u's clock has u-component >= 1), so every initial interning is a
-   miss and every later lookup hits/misses identically.  Asserted
-   stats-equal against the one-shot build in test/test_prefix.ml. *)
+   Stats equality with the fixed-size build: every counter is a sum
+   of per-thread contributions, and a thread's checkpoints (deltas,
+   keyframes, skips) depend only on its own clock sequence, not on
+   when the thread was created.  Asserted stats-equal against the
+   one-shot build in test/test_prefix.ml. *)
 type builder = machine
 
 let ensure_thread (m : machine) t =
@@ -225,7 +219,11 @@ let ensure_thread (m : machine) t =
           VC.inc v u;
           v);
     m.c_vc_allocs <- m.c_vc_allocs + (n' - n);
+    m.last <- grow m.last (fun _ -> VC.create ());
     m.cps <- grow m.cps (fun _ -> []);
+    m.keys_rev <- grow m.keys_rev (fun _ -> []);
+    m.ncps <- grow m.ncps (fun _ -> 0);
+    m.buf <- Array.make (2 * n') 0;
     m.held <- grow m.held (fun _ -> []);
     m.held_cps <- grow m.held_cps (fun _ -> []);
     m.held_n <- grow m.held_n (fun _ -> 0);
@@ -239,18 +237,19 @@ let builder_create () : builder =
   { m_clocks = [||];
     m_locks = Hashtbl.create 16;
     m_volatiles = Hashtbl.create 8;
+    last = [||];
     cps = [||];
+    keys_rev = [||];
+    ncps = [||];
+    buf = [||];
     held = [||];
     held_cps = [||];
     held_n = [||];
     barriers_rev = [];
-    intern = Hashtbl.create 64;
     c_sync = 0;
     c_other = 0;
     c_vc_ops = 0;
     c_vc_allocs = 0;
-    c_checkpoints = 0;
-    c_snapshots = 0;
     c_snapshot_hits = 0;
     c_words = 0 }
 
@@ -278,7 +277,15 @@ let finalize (m : builder) ~nthreads =
      trace via accesses or txn markers only) with their σ₀ state. *)
   ensure_thread m (nthreads - 1);
   { nthreads;
-    clocks = Array.map (fun rev -> Array.of_list (List.rev rev)) m.cps;
+    clocks =
+      Array.mapi
+        (fun t rev ->
+          let cps = Array.of_list (List.rev rev) in
+          { at = Array.map (fun (at, _, _) -> at) cps;
+            ep = Array.map (fun (_, ep, _) -> ep) cps;
+            delta = Array.map (fun (_, _, d) -> d) cps;
+            keys = Array.of_list (List.rev m.keys_rev.(t)) })
+        m.cps;
     locks =
       Array.map
         (fun rev ->
@@ -290,60 +297,41 @@ let finalize (m : builder) ~nthreads =
         other_events = m.c_other;
         vc_ops = m.c_vc_ops;
         vc_allocs = m.c_vc_allocs;
-        checkpoints = m.c_checkpoints;
-        snapshots = m.c_snapshots;
+        checkpoints = Array.fold_left ( + ) 0 m.ncps;
+        snapshots =
+          Array.fold_left
+            (fun acc n -> acc + ((n + key_every - 1) / key_every))
+            0 m.ncps;
         snapshot_hits = m.c_snapshot_hits;
         words = m.c_words } }
 
 let build_indexed ~nthreads ~sync_indices tr =
   let m = builder_create () in
-  (* All threads exist up front, so the replay below never grows. *)
-  ensure_thread m (max 1 nthreads - 1);
   Array.iter (fun index -> feed m tr ~index) sync_indices;
   finalize m ~nthreads
 
-(* Standalone build: one collecting pass (non-access indices + thread
-   count), then the indexed replay.  The sharded driver avoids even
-   this pass by reusing the stealing plan's prepass. *)
+(* Standalone build: the replay over every non-access event.  The
+   sharded driver instead reuses the stealing plan's prepass. *)
 let build tr =
-  let sync = ref [] in
-  let n = ref 0 in
-  let max_tid = ref 0 in
-  let tid t = if t > !max_tid then max_tid := t in
+  let m = builder_create () in
   Trace.iteri
-    (fun index e ->
-      match e with
-      | Event.Read { t; _ } | Event.Write { t; _ } -> tid t
-      | Event.Acquire { t; _ } | Event.Release { t; _ }
-      | Event.Volatile_read { t; _ } | Event.Volatile_write { t; _ }
-      | Event.Txn_begin { t } | Event.Txn_end { t } ->
-        tid t;
-        sync := index :: !sync;
-        incr n
-      | Event.Fork { t; u } | Event.Join { t; u } ->
-        tid t;
-        tid u;
-        sync := index :: !sync;
-        incr n
-      | Event.Barrier_release { threads } ->
-        List.iter tid threads;
-        sync := index :: !sync;
-        incr n)
+    (fun index e -> if not (Event.is_access e) then feed m tr ~index)
     tr;
-  let sync_indices = Array.make !n 0 in
-  List.iteri (fun i idx -> sync_indices.(!n - 1 - i) <- idx) !sync;
-  build_indexed ~nthreads:(!max_tid + 1) ~sync_indices tr
+  finalize m ~nthreads:(Trace.thread_count tr)
 
 (* -- cursors ------------------------------------------------------- *)
 
 (* A cursor is a private, mutable bundle of per-thread positions into
-   the immutable checkpoint arrays.  Shards walk their events in trace
-   order, so seeks are monotone and amortize to O(1); an occasional
-   regression (a detector revisiting an earlier index) just restarts
-   that thread's scan from the front. *)
+   the immutable checkpoint arrays, plus one materialised clock per
+   thread.  Shards walk their events in trace order, so seeks are
+   monotone and amortize to O(1); an occasional regression (a detector
+   revisiting an earlier index) just restarts that thread's scan from
+   the front. *)
 type cursor = {
   tl : t;
   cpos : int array;  (* per-tid position into tl.clocks.(t) *)
+  mat : VC.t array;  (* per-tid clock at checkpoint [mpos.(t)] *)
+  mpos : int array;  (* -1 before the first lookup *)
   lpos : int array;  (* per-tid position into tl.locks.(t) *)
   mutable bpos : int;  (* barriers strictly before the last index *)
 }
@@ -351,6 +339,8 @@ type cursor = {
 let cursor tl =
   { tl;
     cpos = Array.make tl.nthreads 0;
+    mat = Array.init tl.nthreads (fun _ -> VC.create ());
+    mpos = Array.make tl.nthreads (-1);
     lpos = Array.make tl.nthreads 0;
     bpos = 0 }
 
@@ -362,23 +352,44 @@ let[@inline] check_tid tl t =
       (Printf.sprintf "Sync_timeline: tid %d out of range (threads = %d)" t
          tl.nthreads)
 
-(* Latest clock checkpoint of thread [t] with [at < index]: the state
-   a detector processing trace position [index] must observe — sync
-   effects at the access's own index (impossible for accesses, but
-   defensively) are not yet visible. *)
+(* Position of thread [t]'s latest clock checkpoint with [at < index]:
+   the state a detector processing trace position [index] must observe
+   — sync effects at the access's own index (impossible for accesses,
+   but defensively) are not yet visible. *)
 let seek_clock cur ~index t =
   check_tid cur.tl t;
-  let cps = cur.tl.clocks.(t) in
+  let at = cur.tl.clocks.(t).at in
   let p = ref cur.cpos.(t) in
-  if cps.(!p).at >= index then p := 0 (* regression: restart *);
-  while !p + 1 < Array.length cps && cps.(!p + 1).at < index do
+  if at.(!p) >= index then p := 0 (* regression: restart *);
+  while !p + 1 < Array.length at && at.(!p + 1) < index do
     incr p
   done;
   cur.cpos.(t) <- !p;
-  cps.(!p)
+  !p
 
-let clock cur ~index t = (seek_clock cur ~index t).vc
-let epoch cur ~index t = (seek_clock cur ~index t).ep
+let epoch cur ~index t =
+  let p = seek_clock cur ~index t in
+  cur.tl.clocks.(t).ep.(p)
+
+(* Bring [mat.(t)] to the seeked checkpoint: apply deltas forward from
+   the materialised one, after first copying the target's keyframe when
+   the cursor moved backwards or a keyframe lies between the two. *)
+let clock cur ~index t =
+  let p = seek_clock cur ~index t in
+  let cl = cur.tl.clocks.(t) and v = cur.mat.(t) in
+  let k = p / key_every * key_every in
+  if p < cur.mpos.(t) || k > cur.mpos.(t) then begin
+    VC.copy_into ~dst:v cl.keys.(p / key_every);
+    cur.mpos.(t) <- k
+  end;
+  for i = cur.mpos.(t) + 1 to p do
+    let d = cl.delta.(i) in
+    for j = 0 to (Array.length d / 2) - 1 do
+      VC.set v d.(2 * j) d.((2 * j) + 1)
+    done
+  done;
+  cur.mpos.(t) <- p;
+  v
 
 (* Latest held-lock checkpoint of thread [t] with [lat < index].  The
    returned [stamp] is a per-thread ordinal that uniquely identifies

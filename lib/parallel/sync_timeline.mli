@@ -12,20 +12,23 @@
     Section 4 rules as [Vc_state] (the two are asserted equal in
     [test/test_timeline.ml]) and checkpoints, per thread:
 
-    - the post-event clock [C_t] as an {e interned} [Vector_clock]
-      snapshot — structurally equal clocks share one vector, so a
-      thread that re-acquires a lock it released costs no new
-      allocation;
+    - the post-event clock [C_t] as a {e delta}: the [(u, C_t(u))]
+      entries the event raised over the thread's previous checkpoint
+      (found in one pass by [Vector_clock.advance]), with a full
+      keyframe clock every {!key_every} checkpoints.  A sync event
+      that leaves the clock unchanged records nothing.  A checkpoint
+      thus costs O(entries raised) space, not O(threads);
     - the cached epoch [E(t) = C_t(t)@t];
     - the held-lock set (for lockset-based detectors) with a
       per-thread [stamp] ordinal enabling memoized conversions;
     - the stream of [Barrier_release] indices (for barrier-generation
       detectors).
 
-    Sync events are ~3% of a typical trace, and the skip-if-unchanged
-    + interning machinery compresses further, so the timeline is small
-    (see [stats] and DESIGN.md §"Sync timeline + work stealing") and
-    shared {e read-only} by every analysis domain.
+    Sync events are ~3% of a typical trace and a delta is usually a
+    few entries, so the timeline is small (see [stats] and DESIGN.md
+    §"Sync timeline + work stealing") and shared {e read-only} by
+    every analysis domain.  Each cursor materialises the clocks it
+    is asked for privately.
 
     {2 Visibility rule}
 
@@ -48,15 +51,17 @@ type stats = {
   vc_ops : int;  (** O(n) clock operations, counted as [Vc_state] does *)
   vc_allocs : int;  (** live-machine clock allocations *)
   checkpoints : int;  (** clock checkpoints recorded across all threads *)
-  snapshots : int;  (** distinct interned snapshot vectors *)
-  snapshot_hits : int;  (** checkpoints served by interning / no-change *)
+  snapshots : int;
+      (** keyframe clocks: [Σ_t ⌈checkpoints_t / key_every⌉] *)
+  snapshot_hits : int;
+      (** sync events that left a written clock unchanged (skipped) *)
   words : int;  (** approx heap words of the timeline *)
 }
 
 val build : Trace.t -> t
 (** One sequential replay of [tr]'s sync events.  O(sync events · VC)
-    time plus one collecting trace pass, O(checkpoints + interned
-    snapshots) space. *)
+    time plus one collecting trace pass; O(entries raised + keyframes ·
+    threads) space. *)
 
 val build_indexed :
   nthreads:int -> sync_indices:int array -> Trace.t -> t
@@ -70,7 +75,7 @@ val build_indexed :
     [Prefix.build] overlaps the timeline build with segmented routing:
     a dedicated builder domain {!feed}s each segment's sync-event run
     as it is published, in segment order — the same index sequence
-    {!build_indexed} replays, so the result (checkpoints, interning,
+    {!build_indexed} replays, so the result (checkpoints, keyframes,
     cursor semantics {e and} every [stats] counter) is identical to
     the one-shot build's; asserted in [test/test_prefix.ml].  Threads
     are created on first touch and padded at {!finalize}, because the
@@ -94,16 +99,25 @@ val finalize : builder -> nthreads:int -> t
     threads; threads no sync event touched get their initial σ₀
     checkpoint, exactly as {!build_indexed} records them. *)
 
+val key_every : int
+(** A full keyframe clock is kept for every [key_every]-th checkpoint of
+    a thread (32); the checkpoints in between store only the entries
+    their sync event raised. *)
+
 val stats : t -> stats
 val thread_count : t -> int
 
 (** {2 Cursors}
 
     A cursor is a private, mutable bundle of positions into the shared
-    checkpoint arrays — one per detector instance, never shared across
-    domains.  Lookups at monotonically non-decreasing indices (the
-    common case: shards walk events in trace order) amortize to O(1);
-    an index regression restarts the affected thread's scan. *)
+    checkpoint arrays, plus one materialised clock per thread — one
+    cursor per detector instance, never shared across domains.
+    Lookups at monotonically non-decreasing indices (the common case:
+    shards walk events in trace order) amortize to O(1) seeks, and a
+    {!clock} lookup applies the deltas between the thread's previous
+    and current checkpoint.  An index regression restarts the
+    affected thread's scan, and {!clock} then restarts from the
+    nearest keyframe. *)
 
 type cursor
 
@@ -112,12 +126,19 @@ val cursor_timeline : cursor -> t
 
 val clock : cursor -> index:int -> Tid.t -> Vector_clock.t
 (** [clock cur ~index t] is thread [t]'s vector clock as of trace
-    position [index] (exclusive).  The returned clock is a shared
-    interned snapshot: callers must treat it as read-only.
+    position [index] (exclusive).  The returned clock belongs to the
+    cursor: it is valid until the cursor's next {!clock} lookup for the
+    same thread, as [Vc_state.clock] is until the next sync event, and
+    callers must treat it as read-only.  Applies the deltas since the
+    cursor's previous lookup for [t]; when the cursor moved backwards
+    or a keyframe lies in between, it first copies the nearest keyframe
+    at or before the target, so one lookup costs at most one O(n) copy
+    plus [key_every - 1] deltas.
     @raise Invalid_argument if [t] is outside the trace's threads. *)
 
 val epoch : cursor -> index:int -> Tid.t -> Epoch.t
-(** [epoch cur ~index t] = [clock cur ~index t](t)@t, precomputed. *)
+(** [epoch cur ~index t] = [clock cur ~index t](t)@t, precomputed: it
+    only moves the cursor's position and materialises no clock. *)
 
 val held_locks : cursor -> index:int -> Tid.t -> int * Lockid.t list
 (** Locks held by [t] just before [index], as [(stamp, sorted set)].

@@ -59,6 +59,23 @@ let with_entry ?(min_len = 0) v ~tid ~clock =
   clocks.(tid) <- clock;
   { clocks; len }
 
+let advance ~last cur buf =
+  let n = ref 0 in
+  let note u c =
+    set last u c;
+    buf.(2 * !n) <- u;
+    buf.((2 * !n) + 1) <- c;
+    incr n
+  in
+  for u = 0 to cur.len - 1 do
+    let c = cur.clocks.(u) in
+    if c <> get last u then note u c
+  done;
+  for u = cur.len to last.len - 1 do
+    if last.clocks.(u) <> 0 then note u 0
+  done;
+  !n
+
 let copy_into ~dst src =
   grow dst (src.len - 1);
   Array.blit src.clocks 0 dst.clocks 0 src.len;
@@ -88,13 +105,10 @@ let capacity v = Array.length v.clocks
 let heap_words v = Array.length v.clocks + 4
 
 let to_list v =
-  let l = Array.to_list (Array.sub v.clocks 0 v.len) in
-  let rec trim = function
-    | 0 :: rest when List.for_all (Int.equal 0) rest -> []
-    | c :: rest -> c :: trim rest
-    | [] -> []
-  in
-  trim l
+  (* one backward scan to the last nonzero entry, then cons down *)
+  let rec last t = if t >= 0 && v.clocks.(t) = 0 then last (t - 1) else t in
+  let rec go t acc = if t < 0 then acc else go (t - 1) (v.clocks.(t) :: acc) in
+  go (last (v.len - 1)) []
 
 let of_list l =
   let v = create ~capacity:(max 1 (List.length l)) () in

@@ -59,6 +59,14 @@ val copy_into : dst:t -> t -> unit
 (** [copy_into ~dst src] overwrites [dst] with the contents of [src].
     O(n) time, no allocation beyond possible growth. *)
 
+val advance : last:t -> t -> int array -> int
+(** [advance ~last cur buf] writes every entry where [cur] differs
+    from [last] into [buf] as consecutive [u; cur(u)] pairs, sets
+    [last := cur] on those entries only, and returns the number of
+    pairs.  One O(n) pass with no allocation beyond growing [last];
+    [buf] must hold [2 * max (length last) (length cur)] ints.  This is
+    how a sparse checkpoint records only what a sync event raised. *)
+
 val leq : t -> t -> bool
 (** [leq v1 v2] is [v1 ⊑ v2]: [∀t. V1(t) ≤ V2(t)].  O(n) time. *)
 

@@ -345,6 +345,25 @@ let test_degenerate_jobs () =
         seq.Driver.warnings par.Driver.warnings)
     [ 1; 2; 7; 64 ]
 
+(* Wide traces: with 128 threads every sync event's clock spans far
+   more entries than it raises, which is what the timeline's delta
+   checkpoints compress.  The stealing plan must still reproduce the
+   sequential run byte for byte. *)
+let test_wide_threads () =
+  let tr =
+    Trace_gen.generate ~seed:7
+      { Trace_gen.threads = 128; vars = 64; locks = 8; volatiles = 2;
+        length = 20_000; profile = Trace_gen.Synchronized; barriers = true }
+  in
+  Alcotest.(check int) "128 threads" 128 (Trace.thread_count tr);
+  let seq = Driver.run (module Fasttrack) tr in
+  Alcotest.(check bool) "the trace has races to witness" true
+    (seq.Driver.warnings <> []);
+  List.iter
+    (fun jobs ->
+      check_plan "128 threads" (module Fasttrack) tr ~seq ~jobs Shard.Stealing)
+    [ 1; 2 ]
+
 let suite =
   ( "parallel",
     [ Alcotest.test_case "seq ≡ par on every workload (jobs 1/3/8)" `Quick
@@ -359,5 +378,7 @@ let suite =
       Alcotest.test_case "stealing plan invariants" `Quick
         test_stealing_plan;
       Alcotest.test_case "adversarial hot object" `Quick test_hot_object;
+      Alcotest.test_case "128 threads: stealing ≡ sequential" `Quick
+        test_wide_threads;
       Alcotest.test_case "degenerate shard counts" `Quick
         test_degenerate_jobs ] )

@@ -12,7 +12,7 @@
       the incremental [Sync_timeline] builder produces a timeline
       equal to the one-shot [build_indexed]'s — same lookups at every
       prefix index (checked against the live [Vc_state] oracle) and
-      the same stats counters, so interning and cursor semantics are
+      the same stats counters, so deltas, keyframes and cursor semantics are
       untouched by the concurrency.
 
    Plus the degenerate cases that pin the serial fallback: 1 segment,

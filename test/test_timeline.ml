@@ -26,7 +26,9 @@ let seeds = [ 1; 2; 3; 5; 8; 13; 21; 34 ]
 (* At every prefix boundary [i] (state after events [0 .. i-1]), the
    timeline's clock and epoch lookups at [~index:i] must equal the
    live replayed [Vc_state]'s.  [VC.to_list] trims trailing zeros, so
-   the comparison is representation-independent. *)
+   the comparison is representation-independent.  Returns, per thread,
+   the trace indices of the sync events that changed its clock — the
+   timeline's checkpoints after the initial one. *)
 let check_oracle name tr =
   let tl = Sync_timeline.build tr in
   let cur = Sync_timeline.cursor tl in
@@ -35,9 +37,12 @@ let check_oracle name tr =
   let held = Array.make nthreads [] in
   let barrier_gen = ref 0 in
   let len = Trace.length tr in
+  let prev = Array.make nthreads [] and changes = Array.make nthreads [] in
   for i = 0 to len do
     for t = 0 to nthreads - 1 do
       let live = VC.to_list (Vc_state.clock st t) in
+      if i > 0 && live <> prev.(t) then changes.(t) <- (i - 1) :: changes.(t);
+      prev.(t) <- live;
       let shared = VC.to_list (Sync_timeline.clock cur ~index:i t) in
       if live <> shared then
         Alcotest.failf "%s: clock mismatch at index %d, thread %d" name i
@@ -62,7 +67,8 @@ let check_oracle name tr =
       | Event.Barrier_release _ -> incr barrier_gen
       | _ -> ()
     end
-  done
+  done;
+  Array.map List.rev changes
 
 let test_generated () =
   List.iter
@@ -74,7 +80,7 @@ let test_generated () =
             (Printf.sprintf "%s/%d: generated trace is valid" pname seed)
             0
             (List.length (Validity.check tr));
-          check_oracle (Printf.sprintf "%s/seed %d" pname seed) tr)
+          ignore (check_oracle (Printf.sprintf "%s/seed %d" pname seed) tr))
         seeds)
     gen_params
 
@@ -82,7 +88,7 @@ let test_workloads () =
   List.iter
     (fun (w : Workload.t) ->
       let tr = Workload.trace ~seed:11 ~scale:1 w in
-      check_oracle w.name tr)
+      ignore (check_oracle w.name tr))
     Workloads.all
 
 (* Stamp semantics: for one thread, equal stamps always denote the
@@ -149,24 +155,137 @@ let test_regression () =
       then Alcotest.failf "regression: barrier mismatch at index %d" i)
     indices
 
-(* Interning actually shares: distinct snapshot vectors never exceed
-   checkpoints, and on sync-heavy workloads strictly undercut them
-   (re-acquired locks produce structurally equal clocks). *)
-let test_interning () =
+(* Per-thread checkpoint counts (the initial one included) and the
+   trace indices of the keyframes among them, from the oracle replay. *)
+let checkpoints_of changes = Array.map (fun l -> 1 + List.length l) changes
+
+let keyframe_indices changes =
+  Array.map
+    (fun l ->
+      List.filteri (fun j _ -> (j + 1) mod Sync_timeline.key_every = 0) l)
+    changes
+
+let ceil_div a b = (a + b - 1) / b
+
+(* A lock- and volatile-synchronized program whose four threads all
+   live for the whole run, so each records several keyframes and seeks
+   take the keyframe jump, not just the delta walk from a thread's
+   first checkpoint.  (Trace_gen joins its forked threads within a few
+   dozen events: none but thread 0 reaches [key_every] checkpoints.) *)
+let keyframe_case =
+  lazy
+    (let a = Patterns.alloc () in
+     let locks = Array.init 2 (fun _ -> Patterns.lock a) in
+     let guarded = Patterns.vars a 2 in
+     let v = Patterns.volatile a in
+     let loop t =
+       List.concat
+         (List.init 1000 (fun i ->
+              let m = (i + t) mod 2 in
+              [ Program.Acquire locks.(m);
+                Program.Read guarded.(m);
+                Program.Write guarded.(m);
+                Program.Release locks.(m);
+                (if (i + t) mod 3 = 0 then Program.Volatile_write v
+                 else Program.Volatile_read v) ]))
+     in
+     let workers = [ 1; 2; 3 ] in
+     let main =
+       { Program.tid = 0;
+         body =
+           List.map (fun t -> Program.Fork t) workers
+           @ loop 0
+           @ List.map (fun t -> Program.Join t) workers }
+     in
+     let tr =
+       Scheduler.run
+         ~options:{ Scheduler.default_options with seed = 4 }
+         (Program.make
+            (main
+            :: List.map (fun tid -> { Program.tid; body = loop tid }) workers))
+     in
+     (tr, check_oracle "keyframe trace" tr))
+
+let test_keyframes () =
+  let _, changes = Lazy.force keyframe_case in
+  Array.iteri
+    (fun t n ->
+      if ceil_div n Sync_timeline.key_every < 4 then
+        Alcotest.failf "thread %d records only %d checkpoints" t n)
+    (checkpoints_of changes)
+
+(* Random non-monotone query sequences on one cursor answer exactly as
+   a fresh cursor does, with half the queries on either side of a
+   keyframe: the last delta before it and the keyframe itself. *)
+let prop_keyframe_seeks =
+  let case =
+    lazy
+      (let tr, changes = Lazy.force keyframe_case in
+       let boundaries =
+         List.concat_map
+           (fun at -> [ at; at + 1 ])
+           (List.concat (Array.to_list (keyframe_indices changes)))
+       in
+       (Sync_timeline.build tr, Trace.length tr, Array.of_list boundaries))
+  in
+  (* Raw draws, resolved against the (lazily built) trace in the law. *)
+  let query =
+    QCheck2.Gen.(triple bool (int_bound 1_000_000) (int_bound 1_000))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"keyframe seeks ≡ fresh cursor"
+       QCheck2.Gen.(list_size (int_range 1 60) query)
+       (fun queries ->
+         let tl, len, boundaries = Lazy.force case in
+         let cur = Sync_timeline.cursor tl in
+         List.for_all
+           (fun (near_key, i, t) ->
+             let index =
+               if near_key then boundaries.(i mod Array.length boundaries)
+               else i mod (len + 1)
+             in
+             let t = t mod Sync_timeline.thread_count tl in
+             let fresh = Sync_timeline.cursor tl in
+             VC.to_list (Sync_timeline.clock cur ~index t)
+             = VC.to_list (Sync_timeline.clock fresh ~index t)
+             && Sync_timeline.epoch cur ~index t
+                = Sync_timeline.epoch fresh ~index t)
+           queries))
+
+(* Delta accounting: one keyframe per [key_every] checkpoints of each
+   thread, skips for sync events that leave a clock unchanged, and a
+   footprint that grows with what the events raised rather than with
+   checkpoints x threads. *)
+let test_delta_accounting () =
   let w = Option.get (Workloads.find "moldyn") in
   let tr = Workload.trace ~seed:11 ~scale:1 w in
   let tl = Sync_timeline.build tr in
   let s = Sync_timeline.stats tl in
-  Alcotest.(check bool) "snapshots <= checkpoints" true
-    (s.Sync_timeline.snapshots <= s.Sync_timeline.checkpoints);
-  Alcotest.(check bool) "interning pays on a barrier workload" true
+  let cps = checkpoints_of (check_oracle "moldyn" tr) in
+  Alcotest.(check int) "checkpoints = clock changes + initial states"
+    (Array.fold_left ( + ) 0 cps) s.Sync_timeline.checkpoints;
+  Alcotest.(check int) "snapshots = Σ_t ⌈checkpoints_t / key_every⌉"
+    (Array.fold_left
+       (fun acc n -> acc + ceil_div n Sync_timeline.key_every)
+       0 cps)
+    s.Sync_timeline.snapshots;
+  Alcotest.(check bool) "unchanged clocks are skipped" true
     (s.Sync_timeline.snapshot_hits > 0);
-  Alcotest.(check bool) "timeline reports a footprint" true
-    (s.Sync_timeline.words > 0);
-  let reads, writes, other = Trace.counts tr in
-  ignore (reads, writes);
+  let _, _, other = Trace.counts tr in
   Alcotest.(check bool) "sync+other events accounted" true
-    (s.Sync_timeline.sync_events + s.Sync_timeline.other_events = other)
+    (s.Sync_timeline.sync_events + s.Sync_timeline.other_events = other);
+  let tr =
+    Trace_gen.generate ~seed:3
+      { Trace_gen.default with
+        Trace_gen.threads = 64; length = 20_000; profile = Trace_gen.Mixed }
+  in
+  let tl = Sync_timeline.build tr in
+  let s = Sync_timeline.stats tl in
+  let n = Sync_timeline.thread_count tl in
+  Alcotest.(check int) "64 threads" 64 n;
+  if s.Sync_timeline.words >= s.Sync_timeline.checkpoints * n then
+    Alcotest.failf "64 threads: %d words for %d checkpoints"
+      s.Sync_timeline.words s.Sync_timeline.checkpoints
 
 let suite =
   ( "timeline",
@@ -178,4 +297,6 @@ let suite =
         test_stamps;
       Alcotest.test_case "cursor index regressions" `Quick
         test_regression;
-      Alcotest.test_case "snapshot interning" `Quick test_interning ] )
+      Alcotest.test_case "keyframe seeks ≡ Vc_state" `Quick test_keyframes;
+      prop_keyframe_seeks;
+      Alcotest.test_case "delta accounting" `Quick test_delta_accounting ] )

@@ -48,6 +48,33 @@ let test_join () =
   Alcotest.(check (list int)) "pointwise max" [ 3; 2; 5 ]
     (VC.to_list (join [ 3; 0; 5 ] [ 1; 2 ]))
 
+(* to_list trims trailing zeros only: one backward scan, so a long run
+   of zeros costs O(n), not O(n²). *)
+let test_to_list () =
+  let check name expect l =
+    Alcotest.(check (list int)) name expect (VC.to_list (vc l))
+  in
+  check "all zero" [] [ 0; 0; 0; 0 ];
+  check "trailing zeros" [ 3; 0; 2 ] [ 3; 0; 2; 0; 0 ];
+  check "leading zeros" [ 0; 0; 0; 7 ] [ 0; 0; 0; 7 ];
+  check "zeros everywhere" [ 0; 1; 0; 0; 4 ] [ 0; 1; 0; 0; 4; 0 ];
+  Alcotest.(check int) "long zero run" 1
+    (List.length (VC.to_list (vc (1 :: List.init 100_000 (fun _ -> 0)))))
+
+let test_advance () =
+  let last = vc [ 1; 2 ] and buf = Array.make 16 0 in
+  let cur = vc [ 1; 5; 0; 3 ] in
+  Alcotest.(check int) "two entries raised" 2 (VC.advance ~last cur buf);
+  Alcotest.(check (list int)) "as u; c pairs" [ 1; 5; 3; 3 ]
+    (Array.to_list (Array.sub buf 0 4));
+  Alcotest.(check (list int)) "last := cur" [ 1; 5; 0; 3 ] (VC.to_list last);
+  Alcotest.(check int) "nothing changed" 0 (VC.advance ~last cur buf);
+  (* entries only [last] holds differ from [cur]'s implicit zeros *)
+  Alcotest.(check int) "shorter cur" 2 (VC.advance ~last (vc [ 1 ]) buf);
+  Alcotest.(check (list int)) "zeroed pairs" [ 1; 0; 3; 0 ]
+    (Array.to_list (Array.sub buf 0 4));
+  Alcotest.(check (list int)) "last follows" [ 1 ] (VC.to_list last)
+
 let test_copy_semantics () =
   let a = vc [ 4; 5 ] in
   let b = VC.copy a in
@@ -153,12 +180,25 @@ let prop_roundtrip =
       let trimmed = VC.to_list (vc l) in
       VC.equal (vc l) (vc trimmed))
 
+let prop_advance =
+  prop "advance: old ⊕ delta = new" (QCheck2.Gen.pair gen_vc gen_vc)
+    (fun (a, b) ->
+      let last = vc a and buf = Array.make 32 0 in
+      let n = VC.advance ~last (vc b) buf in
+      let replay = vc a in
+      for j = 0 to n - 1 do
+        VC.set replay buf.(2 * j) buf.((2 * j) + 1)
+      done;
+      VC.equal last (vc b) && VC.equal replay (vc b))
+
 let suite =
   ( "vector clock",
     [ Alcotest.test_case "bottom" `Quick test_bottom;
       Alcotest.test_case "set/get/inc" `Quick test_set_get;
       Alcotest.test_case "leq basics" `Quick test_leq_basic;
       Alcotest.test_case "join" `Quick test_join;
+      Alcotest.test_case "to_list trims trailing zeros" `Quick test_to_list;
+      Alcotest.test_case "advance records raised entries" `Quick test_advance;
       Alcotest.test_case "copy semantics" `Quick test_copy_semantics;
       Alcotest.test_case "clear" `Quick test_clear;
       Alcotest.test_case "epoch operations" `Quick test_epoch_ops;
@@ -172,4 +212,5 @@ let suite =
       prop_join_lub;
       prop_join_commutes;
       prop_epoch_leq_consistent;
-      prop_roundtrip ] )
+      prop_roundtrip;
+      prop_advance ] )
