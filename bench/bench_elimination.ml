@@ -12,7 +12,11 @@
 
    Two rows per workload go into the JSON ([static_elim] false/true,
    [dropped_frac] = eliminated events / trace length); the elimination
-   soundness CI job diffs the warning counts between them. *)
+   soundness CI job diffs the warning counts between them.  The
+   Speedup column compares detector runs only; Static(ms) is what the
+   pre-pass itself costs (one uncached Static.analyze of the program,
+   mean of the repeats), recorded as [static_ms] on the elimination
+   row. *)
 
 let workload_names =
   [ "moldyn"; "sor"; "lufact"; "sparse"; "series"; "crypt"; "raytracer";
@@ -33,6 +37,7 @@ let run ~scale ~repeat () =
         [ ("Workload", Table.Left); ("Events", Table.Right);
           ("Certified%", Table.Right); ("Base(ms)", Table.Right);
           ("Elim(ms)", Table.Right); ("Speedup", Table.Right);
+          ("Static(ms)", Table.Right);
           ("Warnings", Table.Right) ]
   in
   let speedups = ref [] in
@@ -51,6 +56,15 @@ let run ~scale ~repeat () =
               w.Workload.program ~scale)
         in
         let skip = Static.eliminator ~granularity:Var.Fine summary in
+        let static_s =
+          let program = w.Workload.program ~scale in
+          let runs = max 1 repeat in
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to runs do
+            ignore (Sys.opaque_identity (Static.analyze program))
+          done;
+          (Unix.gettimeofday () -. t0) /. float_of_int runs
+        in
         let base = Bench_common.base_time ~repeat tr in
         let r0, base_s = Bench_common.measure ~repeat d tr in
         let config = Config.with_static_elim skip Config.default in
@@ -78,7 +92,8 @@ let run ~scale ~repeat () =
               warnings = List.length r.Driver.warnings;
               imbalance = 1.0; static_elim; dropped_frac;
               prefix_wall = 0.; prefix_frac = 0.; amdahl_ceiling = 0.;
-              rate = -1.; recall = -1. }
+              rate = -1.; recall = -1.;
+              static_ms = (if static_elim then static_s *. 1000. else -1.) }
         in
         record ~static_elim:false ~elapsed:base_s ~dropped_frac:0. r0;
         record ~static_elim:true ~elapsed:elim_s ~dropped_frac r1;
@@ -88,6 +103,7 @@ let run ~scale ~repeat () =
             Printf.sprintf "%.2f" (base_s *. 1000.);
             Printf.sprintf "%.2f" (elim_s *. 1000.);
             Printf.sprintf "%.2fx" speedup;
+            Printf.sprintf "%.2f" (static_s *. 1000.);
             string_of_int (List.length r1.Driver.warnings) ])
     workload_names;
   Table.print t;

@@ -18,6 +18,7 @@ type record = {
   amdahl_ceiling : float;
   rate : float;
   recall : float;
+  static_ms : float;
 }
 
 let throughput ~events ~elapsed =
@@ -67,16 +68,20 @@ let record_to_json r =
     if r.recall >= 0. then Printf.sprintf ",\"recall\":%.4f" r.recall
     else ""
   in
+  let static_field =
+    if r.static_ms >= 0. then Printf.sprintf ",\"static_ms\":%.3f" r.static_ms
+    else ""
+  in
   Printf.sprintf
     "{\"experiment\":\"%s\",\"workload\":\"%s\",\"tool\":\"%s\",\
      \"jobs\":%d,\"plan\":\"%s\",\"events\":%d,\"elapsed_s\":%.6f,\
      \"throughput\":%.1f,\
      \"slowdown\":%.3f,\"speedup\":%.3f,\"warnings\":%d,\
-     \"imbalance\":%.3f,\"static_elim\":%b,\"dropped_frac\":%.4f%s%s}"
+     \"imbalance\":%.3f,\"static_elim\":%b,\"dropped_frac\":%.4f%s%s%s}"
     (escape r.experiment) (escape r.workload) (escape r.tool) r.jobs
     (escape r.plan) r.events r.elapsed r.throughput r.slowdown r.speedup
     r.warnings r.imbalance r.static_elim r.dropped_frac prefix_fields
-    sampling_fields
+    sampling_fields static_field
 
 (* Honesty marker: set when the harness ran parallel experiments on a
    host below the 4-core floor with --allow-few-cores.  Readers (CI,

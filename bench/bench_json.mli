@@ -68,6 +68,11 @@ type record = {
           racy variables this cell's run warned about.  [-1.]
           (omitted) when not a sampling row or when the workload has
           no oracle races to recall. *)
+  static_ms : float;
+      (** elimination rows only: wall milliseconds of one uncached
+          [Static.analyze] of the workload's program — the pre-pass
+          the row's [elapsed] and [speedup] leave out.  [-1.]
+          (omitted from the JSON) for every other row. *)
 }
 
 val throughput : events:int -> elapsed:float -> float

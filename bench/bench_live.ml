@@ -106,7 +106,7 @@ let run ~scale ~repeat () =
           dropped_frac = 0.;
           prefix_wall = 0.;
           prefix_frac = 0.;
-          amdahl_ceiling = 0.; rate = -1.; recall = -1. }
+          amdahl_ceiling = 0.; rate = -1.; recall = -1.; static_ms = -1. }
     in
     record "seq" off r_off;
     record "seq+live" on r_on

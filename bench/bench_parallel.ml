@@ -101,7 +101,7 @@ let run ~scale ~repeat () =
             warnings = List.length seq_result.Driver.warnings;
             imbalance = 1.0; static_elim = false; dropped_frac = 0.;
             prefix_wall = 0.; prefix_frac = 0.; amdahl_ceiling = 0.;
-            rate = -1.; recall = -1. };
+            rate = -1.; recall = -1.; static_ms = -1. };
         (* the jobs=1 stealing row's measured serial fraction: the [s]
            every later stealing cell's Amdahl ceiling is derived from *)
         let stealing_s1 = ref None in
@@ -147,7 +147,7 @@ let run ~scale ~repeat () =
               imbalance = par_result.Driver.imbalance;
               static_elim = false; dropped_frac = 0.;
               prefix_wall; prefix_frac; amdahl_ceiling; rate = -1.;
-              recall = -1. };
+              recall = -1.; static_ms = -1. };
           (elapsed, speedup)
         in
         let cells =

@@ -71,7 +71,7 @@ let record ~workload ~plan ~events ~elapsed ~warnings =
       dropped_frac = 0.;
       prefix_wall = 0.;
       prefix_frac = 0.;
-      amdahl_ceiling = 0.; rate = -1.; recall = -1. }
+      amdahl_ceiling = 0.; rate = -1.; recall = -1.; static_ms = -1. }
 
 let run ~scale ~repeat () =
   Printf.printf "== Profiler: O(1)-path share per workload (%s) ==\n" tool;

@@ -123,7 +123,8 @@ let run ~scale ~repeat () =
                   warnings = List.length result.Driver.warnings;
                   imbalance = 1.0; static_elim = false;
                   dropped_frac = 0.; prefix_wall = 0.; prefix_frac = 0.;
-                  amdahl_ceiling = 0.; rate; recall = rec_ };
+                  amdahl_ceiling = 0.; rate; recall = rec_;
+                  static_ms = -1. };
               [ Printf.sprintf "%.2f" (elapsed *. 1000.);
                 (if rec_ < 0. then "-" else Printf.sprintf "%.2f" rec_) ])
             rates

@@ -105,7 +105,7 @@ let run ~scale ~repeat () =
                 Option.value ~default:0 (List.assoc_opt tool r.warnings);
               imbalance = 1.0; static_elim = false; dropped_frac = 0.;
               prefix_wall = 0.; prefix_frac = 0.; amdahl_ceiling = 0.;
-              rate = -1.; recall = -1. })
+              rate = -1.; recall = -1.; static_ms = -1. })
         r.slowdowns)
     rows;
   render rows;

@@ -95,7 +95,7 @@ let run ~scale ~repeat () =
             warnings = List.length r.Driver.warnings;
             imbalance = 1.0; static_elim; dropped_frac;
             prefix_wall = build_s; prefix_frac = 0.; amdahl_ceiling = 0.;
-            rate = -1.; recall = -1. }
+            rate = -1.; recall = -1.; static_ms = -1. }
       in
       record ~static_elim:false ~elapsed:base_s ~dropped_frac:0. r0;
       record ~static_elim:true ~elapsed:elim_s ~dropped_frac r1;

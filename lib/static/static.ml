@@ -78,6 +78,53 @@ type finding = {
   f_kind : finding_kind;
 }
 
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x27d4eb2d in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+module Ktbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash a = Array.fold_left (fun h k -> (h * 31) + k) 0 a land max_int
+end)
+
+(* One graph over the skeleton (fork/join edges only, or with barrier
+   edges).  Nodes are numbered [base(thread) + seg] with threads in
+   ascending tid order, so node ids ascend in [(tid, seg)].  Every node
+   [v] carries an int clock over thread indices: [clk(v)[i]] is the
+   highest segment of thread [i] that reaches [v] (-1: none) — the
+   paper's replacement of reachability by clock comparison (Section 4),
+   applied to the static happens-before skeleton.  Since program order
+   glues the segments of a thread, [a] reaches [b] iff
+   [clk(b)[tid a] >= seg a].  Beside each entry [g_by] records what
+   last raised it: -2 for the program-order edge from [v - 1], an edge
+   index for an inter-thread edge, -1 while the entry still holds its
+   initial value. *)
+type graph = { g_clk : int array; g_by : int array }
+
+type labels = {
+  l_threads : int;
+  l_index : (Tid.t, int) Hashtbl.t;  (* tid -> thread index *)
+  l_base : int array;                (* thread index -> first node id *)
+  l_node : node array;               (* node id -> node *)
+  l_thr : int array;                 (* node id -> thread index *)
+  l_hops : hop array;                (* edge index -> the edge as a hop *)
+  l_src : int array;                 (* edge index -> source node id *)
+  l_fj : graph;
+  l_full : graph;
+  l_locks : Lockid.t list array;     (* lockset rank -> sorted locks *)
+  l_keys : int array Itbl.t;         (* Var.key Fine -> packed site keys *)
+}
+
 type summary = {
   threads : int;
   skeleton : skeleton;
@@ -88,6 +135,7 @@ type summary = {
   findings : finding list;
   total_accesses : int;
   certified_accesses : int;
+  labels : labels;
 }
 
 (* Asyncs per spawning thread beyond which the fanout lint fires: a
@@ -96,219 +144,262 @@ type summary = {
 let fanout_limit = 64
 
 (* ------------------------------------------------------------------ *)
-(* Reachability over the skeleton.                                    *)
+(* The vector-clock-labelled skeleton.                                *)
 
-(* Nodes are numbered [base(tid) + seg]; adjacency carries the edge
-   kind so BFS parent chains reconstruct certificate hops.  Per-source
-   BFS results are memoized: classification queries many pairs from
-   few distinct source nodes. *)
-type graph = {
-  g_base : (int, int) Hashtbl.t;
-  g_nodes : int;
-  g_node : node array;
-  g_adj : (int * edge_kind) list array;
-  g_memo : (int, Bytes.t * int array * edge_kind array) Hashtbl.t;
-}
-
-let node_id g n = Hashtbl.find g.g_base n.n_tid + n.n_seg
-
-let graphs_of_skeleton sk =
-  let base = Hashtbl.create 16 in
-  let nodes =
-    List.fold_left
-      (fun acc (t, ns) ->
-        Hashtbl.replace base t acc;
-        acc + ns)
-      0 sk.sk_segs
-  in
-  let node_arr = Array.make (max 1 nodes) { n_tid = 0; n_seg = 0 } in
-  List.iter
-    (fun (t, ns) ->
-      let b = Hashtbl.find base t in
-      for s = 0 to ns - 1 do
-        node_arr.(b + s) <- { n_tid = t; n_seg = s }
-      done)
-    sk.sk_segs;
-  let mk ~barriers =
-    let adj = Array.make (max 1 nodes) [] in
-    List.iter
-      (fun (t, ns) ->
-        let b = Hashtbl.find base t in
-        for s = ns - 2 downto 0 do
-          adj.(b + s) <- (b + s + 1, Po) :: adj.(b + s)
-        done)
-      sk.sk_segs;
-    List.iter
-      (fun e ->
-        let keep =
-          match e.e_kind with Barrier_edge _ -> barriers | _ -> true
-        in
-        if keep then begin
-          let f = Hashtbl.find base e.e_from.n_tid + e.e_from.n_seg in
-          let t = Hashtbl.find base e.e_to.n_tid + e.e_to.n_seg in
-          adj.(f) <- (t, e.e_kind) :: adj.(f)
-        end)
-      (List.rev sk.sk_edges);
-    { g_base = base;
-      g_nodes = nodes;
-      g_node = node_arr;
-      g_adj = adj;
-      g_memo = Hashtbl.create 64 }
-  in
-  (mk ~barriers:false, mk ~barriers:true)
-
-let bfs g src =
-  match Hashtbl.find_opt g.g_memo src with
-  | Some r -> r
-  | None ->
-    let visited = Bytes.make g.g_nodes '\000' in
-    let parent = Array.make g.g_nodes (-1) in
-    let pkind = Array.make g.g_nodes Po in
-    let q = Queue.create () in
-    Bytes.set visited src '\001';
-    Queue.add src q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun (v, k) ->
-          if Bytes.get visited v = '\000' then begin
-            Bytes.set visited v '\001';
-            parent.(v) <- u;
-            pkind.(v) <- k;
-            Queue.add v q
-          end)
-        g.g_adj.(u)
+(* Label one graph.  A Kahn pass in topological order pushes each
+   node's clock into its successors (entry-wise max); nodes left
+   unvisited lie on or behind a cycle (Join_before_fork and mutual
+   joins make the skeleton cyclic), and the same push is repeated over
+   them until nothing changes.  A raise needs a strict increase, so the
+   raiser chains stay loop-free. *)
+let label ~nthr ~node ~thr ~src ~dst ~keep =
+  let nodes = Array.length node in
+  let succ = Array.make nodes [] in
+  let indeg = Array.make nodes 0 in
+  for v = 0 to nodes - 1 do
+    if node.(v).n_seg > 0 then indeg.(v) <- 1
+  done;
+  Array.iteri
+    (fun k s ->
+      if keep k then begin
+        succ.(s) <- k :: succ.(s);
+        indeg.(dst.(k)) <- indeg.(dst.(k)) + 1
+      end)
+    src;
+  let clk = Array.make (nodes * nthr) (-1) in
+  let by = Array.make (nodes * nthr) (-1) in
+  for v = 0 to nodes - 1 do
+    clk.((v * nthr) + thr.(v)) <- node.(v).n_seg
+  done;
+  let push u v r =
+    let ou = u * nthr and ov = v * nthr in
+    let raised = ref false in
+    for i = 0 to nthr - 1 do
+      let c = clk.(ou + i) in
+      if c > clk.(ov + i) then begin
+        clk.(ov + i) <- c;
+        by.(ov + i) <- r;
+        raised := true
+      end
     done;
-    let r = (visited, parent, pkind) in
-    Hashtbl.replace g.g_memo src r;
-    r
-
-let reaches g a b =
-  a = b
-  ||
-  let visited, _, _ = bfs g a in
-  Bytes.get visited b = '\001'
-
-(* The inter-thread edges of the BFS witness path from [a] to [b]
-   (program-order steps are implied and re-checked by the certificate
-   checker). *)
-let hops_of_path g a b =
-  let _, parent, pkind = bfs g a in
-  let rec up v acc =
-    if v = a then acc
-    else
-      let p = parent.(v) in
-      let acc =
-        match pkind.(v) with
-        | Po -> acc
-        | k -> { h_from = g.g_node.(p); h_to = g.g_node.(v); h_kind = k } :: acc
-      in
-      up p acc
+    !raised
   in
-  up b []
+  let iter_succs u f =
+    if u + 1 < nodes && thr.(u + 1) = thr.(u) then f (u + 1) (-2);
+    List.iter (fun k -> f dst.(k) k) succ.(u)
+  in
+  let queue = Array.make nodes 0 and head = ref 0 and tail = ref 0 in
+  let enqueue v =
+    queue.(!tail) <- v;
+    incr tail
+  in
+  for v = 0 to nodes - 1 do
+    if indeg.(v) = 0 then enqueue v
+  done;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    iter_succs u (fun v r ->
+        ignore (push u v r);
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then enqueue v)
+  done;
+  if !tail < nodes then begin
+    (* The unvisited nodes are those with in-degree left.  Every
+       predecessor of a visited node was visited, so they only push
+       among themselves. *)
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for u = 0 to nodes - 1 do
+        if indeg.(u) > 0 then
+          iter_succs u (fun v r -> if push u v r then changed := true)
+      done
+    done
+  end;
+  { g_clk = clk; g_by = by }
+
+let labels_of_skeleton sk ~locks =
+  let segs = Array.of_list sk.sk_segs in
+  let nthr = Array.length segs in
+  let base = Array.make (nthr + 1) 0 in
+  Array.iteri (fun i (_, ns) -> base.(i + 1) <- base.(i) + ns) segs;
+  let nodes = base.(nthr) in
+  let node = Array.make nodes { n_tid = 0; n_seg = 0 } in
+  let thr = Array.make nodes 0 in
+  let index = Hashtbl.create (max 1 nthr) in
+  Array.iteri
+    (fun i (t, ns) ->
+      Hashtbl.replace index t i;
+      for s = 0 to ns - 1 do
+        node.(base.(i) + s) <- { n_tid = t; n_seg = s };
+        thr.(base.(i) + s) <- i
+      done)
+    segs;
+  let id n = base.(Hashtbl.find index n.n_tid) + n.n_seg in
+  let edges = Array.of_list sk.sk_edges in
+  let src = Array.map (fun e -> id e.e_from) edges in
+  let dst = Array.map (fun e -> id e.e_to) edges in
+  let label = label ~nthr ~node ~thr ~src ~dst in
+  { l_threads = nthr;
+    l_index = index;
+    l_base = base;
+    l_node = node;
+    l_thr = thr;
+    l_hops =
+      Array.map
+        (fun e -> { h_from = e.e_from; h_to = e.e_to; h_kind = e.e_kind })
+        edges;
+    l_src = src;
+    l_fj =
+      label ~keep:(fun k ->
+          match edges.(k).e_kind with Barrier_edge _ -> false | _ -> true);
+    l_full = label ~keep:(fun _ -> true);
+    l_locks = locks;
+    l_keys = Itbl.create 64 }
+
+let reaches_id l g a b =
+  g.g_clk.((b * l.l_threads) + l.l_thr.(a)) >= l.l_node.(a).n_seg
+
+(* The inter-thread edges of a witness path from [a] to [b] (program
+   order glues the rest; the certificate checker re-checks it): follow
+   the raisers of [a]'s thread entry back from [b] until the first node
+   of [a]'s thread at or after [a]. *)
+let rec hops_back l g i sa v acc =
+  if l.l_thr.(v) = i && l.l_node.(v).n_seg >= sa then acc
+  else
+    let r = g.g_by.((v * l.l_threads) + i) in
+    if r = -2 then hops_back l g i sa (v - 1) acc
+    else hops_back l g i sa l.l_src.(r) (l.l_hops.(r) :: acc)
+
+let hops l g a b = hops_back l g l.l_thr.(a) l.l_node.(a).n_seg b []
 
 (* ------------------------------------------------------------------ *)
 (* Classification.                                                    *)
+
+(* A site is packed into one int [((node * 2 + write) * locksets) +
+   lockset rank], where ranks order the interned locksets like
+   [compare] on their sorted lock lists: ascending keys give the site
+   order of [List.sort compare] over site records. *)
+let key_node l k = k / (2 * Array.length l.l_locks)
+let key_write l k = (k / Array.length l.l_locks) land 1 = 1
+let key_rank l k = k mod Array.length l.l_locks
 
 let site_node s = { n_tid = s.s_tid; n_seg = s.s_seg }
 
 let conflicting s1 s2 = s1.s_tid <> s2.s_tid && (s1.s_write || s2.s_write)
 
-(* Distinct unordered node pairs drawn from the conflicting site
-   pairs: ordering is a property of program points, so sites sharing a
-   node collapse into one query. *)
-let conflicting_node_pairs sites =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if j > i && conflicting a b then begin
-            let na = site_node a and nb = site_node b in
-            let key = if compare na nb <= 0 then (na, nb) else (nb, na) in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              out := key :: !out
-            end
-          end)
-        sites)
-    sites;
-  List.rev !out
-
-let order_pairs g pairs =
-  let exception Unordered in
-  try
-    Some
-      (List.map
-         (fun (na, nb) ->
-           let ia = node_id g na and ib = node_id g nb in
-           if reaches g ia ib then
-             { op_before = na; op_after = nb; op_hops = hops_of_path g ia ib }
-           else if reaches g ib ia then
-             { op_before = nb; op_after = na; op_hops = hops_of_path g ib ia }
-           else raise Unordered)
-         pairs)
-  with Unordered -> None
-
-let inter_locks = function
-  | [] -> []
-  | s :: rest ->
-    List.fold_left
-      (fun acc s' -> List.filter (fun m -> List.mem m s'.s_locks) acc)
-      s.s_locks rest
-
-(* Series-order every conflicting pair against the DPST: succeeds only
-   when no pair may happen in parallel.  The recorded pairs are
-   directed by the tree's left-to-right order so the certificate
-   checker can replay each one with {!Dpst.series_check}. *)
-let sp_order_pairs sp pairs =
-  match sp with
-  | None -> None
-  | Some d ->
-    let exception Par in
-    (try
-       Some
-         (List.map
-            (fun (na, nb) ->
-              let a = (na.n_tid, na.n_seg) and b = (nb.n_tid, nb.n_seg) in
-              if Dpst.mhp d a b then raise Par
-              else if Dpst.ordered_before d a b then
-                { sp_before = na; sp_after = nb }
-              else { sp_before = nb; sp_after = na })
-            pairs)
-     with Par -> None)
-
-let classify sp gfj gfull sites =
-  let tids = List.sort_uniq Tid.compare (List.map (fun s -> s.s_tid) sites) in
-  match tids with
-  | [] -> (May_race, None)
-  | [ t ] -> (
+(* The verdict of a sorted, duplicate-free site-key array, and a thunk
+   building its certificate: ordering is a property of program points,
+   so the sites collapse to [(node, has_read, has_write)] and the
+   conflicting node pairs are decided by clock comparisons before any
+   hop list is built. *)
+let classify l sp keys =
+  let n = Array.length keys in
+  let tid k = l.l_node.(key_node l k).n_tid in
+  if n = 0 then (May_race, fun () -> None)
+  else if Tid.equal (tid keys.(0)) (tid keys.(n - 1)) then
+    let t = tid keys.(0) in
     match sp with
-    | Some d when Dpst.is_task d t -> (Task_local t, Some (Cert_task_local t))
-    | _ -> (Thread_local t, Some (Cert_thread_local t)))
-  | _ ->
-    if List.for_all (fun s -> not s.s_write) sites then
-      (Read_only, Some Cert_read_only)
-    else begin
-      match inter_locks sites with
-      | m :: _ -> (Lock_protected m, Some (Cert_lock_protected m))
-      | [] -> (
-        let pairs = conflicting_node_pairs sites in
-        match sp_order_pairs sp pairs with
-        | Some ps -> (Sp_ordered, Some (Cert_sp_ordered { c_sp_pairs = ps }))
-        | None -> (
-          match order_pairs gfj pairs with
-          | Some ps ->
-            ( Fork_join_ordered,
-              Some (Cert_ordered { c_barrier = false; c_pairs = ps }) )
-          | None -> (
-            match order_pairs gfull pairs with
-            | Some ps ->
-              ( Barrier_phased,
-                Some (Cert_ordered { c_barrier = true; c_pairs = ps }) )
-            | None -> (May_race, None))))
-    end
+    | Some d when Dpst.is_task d t ->
+      (Task_local t, fun () -> Some (Cert_task_local t))
+    | _ -> (Thread_local t, fun () -> Some (Cert_thread_local t))
+  else if not (Array.exists (key_write l) keys) then
+    (Read_only, fun () -> Some Cert_read_only)
+  else begin
+    (* the locks every site holds, in the first site's order *)
+    let common = ref l.l_locks.(key_rank l keys.(0)) in
+    let last = ref (key_rank l keys.(0)) in
+    Array.iter
+      (fun k ->
+        let r = key_rank l k in
+        if r <> !last && !common <> [] then begin
+          last := r;
+          common := List.filter (fun m -> List.mem m l.l_locks.(r)) !common
+        end)
+      keys;
+    match !common with
+    | m :: _ -> (Lock_protected m, fun () -> Some (Cert_lock_protected m))
+    | [] -> (
+      let nd = Array.make n 0 in
+      let nr = Array.make n false and nw = Array.make n false in
+      let m = ref 0 in
+      Array.iter
+        (fun k ->
+          let v = key_node l k in
+          if !m = 0 || nd.(!m - 1) <> v then begin
+            nd.(!m) <- v;
+            incr m
+          end;
+          if key_write l k then nw.(!m - 1) <- true else nr.(!m - 1) <- true)
+        keys;
+      let m = !m in
+      (* Conflicting cross-thread node pairs, in the order a scan over
+         the sorted site pairs (i < j) first meets them: a node's read
+         sites sort before its write sites. *)
+      let iter_pairs f =
+        for p = 0 to m - 1 do
+          let tp = l.l_thr.(nd.(p)) in
+          let pass want =
+            for q = p + 1 to m - 1 do
+              if l.l_thr.(nd.(q)) <> tp && want q then f nd.(p) nd.(q)
+            done
+          in
+          if not nr.(p) then pass (fun _ -> true)
+          else begin
+            pass (fun q -> nw.(q));
+            if nw.(p) then pass (fun q -> not nw.(q))
+          end
+        done
+      in
+      let all ok =
+        let exception Stop in
+        try
+          iter_pairs (fun a b -> if not (ok a b) then raise Stop);
+          true
+        with Stop -> false
+      in
+      let collect f =
+        let acc = ref [] in
+        iter_pairs (fun a b -> acc := f a b :: !acc);
+        List.rev !acc
+      in
+      let point v = (l.l_node.(v).n_tid, l.l_node.(v).n_seg) in
+      let ordered g a b = reaches_id l g a b || reaches_id l g b a in
+      let witness g a b =
+        if reaches_id l g a b then
+          { op_before = l.l_node.(a); op_after = l.l_node.(b);
+            op_hops = hops l g a b }
+        else
+          { op_before = l.l_node.(b); op_after = l.l_node.(a);
+            op_hops = hops l g b a }
+      in
+      match sp with
+      | Some d when all (fun a b -> not (Dpst.mhp d (point a) (point b))) ->
+        ( Sp_ordered,
+          fun () ->
+            let c_sp_pairs =
+              collect (fun a b ->
+                  if Dpst.ordered_before d (point a) (point b) then
+                    { sp_before = l.l_node.(a); sp_after = l.l_node.(b) }
+                  else { sp_before = l.l_node.(b); sp_after = l.l_node.(a) })
+            in
+            Some (Cert_sp_ordered { c_sp_pairs }) )
+      | _ ->
+        if all (ordered l.l_fj) then
+          ( Fork_join_ordered,
+            fun () ->
+              Some
+                (Cert_ordered
+                   { c_barrier = false; c_pairs = collect (witness l.l_fj) }) )
+        else if all (ordered l.l_full) then
+          ( Barrier_phased,
+            fun () ->
+              Some
+                (Cert_ordered
+                   { c_barrier = true; c_pairs = collect (witness l.l_full) }) )
+        else (May_race, fun () -> None))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The abstract interpreter (one walk per thread body).               *)
@@ -387,29 +478,57 @@ let analyze (p : Program.t) =
     in
     Hashtbl.replace tids tid ()
   in
-  (* Per-variable accumulators: fine key -> (var, site table, count). *)
-  let vars :
-      (int, Var.t * ((int * int * bool * int list), int ref) Hashtbl.t * int ref)
-      Hashtbl.t =
-    Hashtbl.create 64
+  (* Per-variable accumulators, keyed by [Var.key Fine]: each counts
+     the accesses per walk site [ctx * 2 + write], where a context [ctx]
+     interns one (tid, segment, lockset id) triple and a lockset id
+     interns one sorted held-lock list.  Both change only at
+     synchronization statements; loops hit the same variable and site
+     back to back, which a one-entry cache serves without a lookup (and
+     a change of site alone without the variable lookup). *)
+  let vars : (Var.t * int ref Itbl.t) Itbl.t = Itbl.create 64 in
+  let intern tbl k =
+    match Hashtbl.find_opt tbl k with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.replace tbl k i;
+      i
   in
+  let locksets : (Lockid.t list, int) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.replace locksets [] 0;
+  let contexts : (Tid.t * int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let total = ref 0 in
-  let record_access x ~tid ~seg ~write locks =
+  let last_var = ref (-1) in
+  let last_sites = ref (Itbl.create 1) in
+  let last_site = ref (-1) and last_cell = ref (ref 0) in
+  let record_access x site =
     incr total;
     let key = Var.key Var.Fine x in
-    let _, sites, cnt =
-      match Hashtbl.find_opt vars key with
-      | Some e -> e
-      | None ->
-        let e = (x, Hashtbl.create 4, ref 0) in
-        Hashtbl.replace vars key e;
-        e
-    in
-    incr cnt;
-    let sk = (tid, seg, write, locks) in
-    match Hashtbl.find_opt sites sk with
-    | Some r -> incr r
-    | None -> Hashtbl.replace sites sk (ref 1)
+    if key <> !last_var then begin
+      last_var := key;
+      last_site := -1;
+      last_sites :=
+        match Itbl.find_opt vars key with
+        | Some (_, sites) -> sites
+        | None ->
+          let sites = Itbl.create 4 in
+          Itbl.add vars key (x, sites);
+          sites
+    end;
+    if site = !last_site then incr !last_cell
+    else begin
+      let cell =
+        match Itbl.find_opt !last_sites site with
+        | Some cell -> cell
+        | None ->
+          let cell = ref 0 in
+          Itbl.add !last_sites site cell;
+          cell
+      in
+      incr cell;
+      last_site := site;
+      last_cell := cell
+    end
   in
   let walks =
     List.map
@@ -418,10 +537,23 @@ let analyze (p : Program.t) =
         let seg = ref 0 in
         let held = Hashtbl.create 8 in
         let cur_locks = ref [] in
+        let cur_lockset = ref 0 in
+        let cur_ctx = ref (-1) in
         let recompute () =
           cur_locks :=
             Hashtbl.fold (fun m c acc -> if c > 0 then m :: acc else acc) held []
-            |> List.sort Lockid.compare
+            |> List.sort Lockid.compare;
+          cur_lockset := intern locksets !cur_locks;
+          cur_ctx := -1
+        in
+        let next_seg () =
+          incr seg;
+          cur_ctx := -1
+        in
+        let access x ~write =
+          if !cur_ctx < 0 then
+            cur_ctx := intern contexts (tid, !seg, !cur_lockset);
+          record_access x ((!cur_ctx * 2) + Bool.to_int write)
         in
         let forks = ref [] and joins = ref [] and bwaits = ref [] in
         let shapes = ref [] in
@@ -445,9 +577,9 @@ let analyze (p : Program.t) =
             (fun stmt ->
               match stmt with
               | Program.Read x ->
-                record_access x ~tid ~seg:!seg ~write:false !cur_locks
+                access x ~write:false
               | Program.Write x ->
-                record_access x ~tid ~seg:!seg ~write:true !cur_locks
+                access x ~write:true
               | Program.Acquire m ->
                 let c = Option.value ~default:0 (Hashtbl.find_opt held m) in
                 if c = 0 then
@@ -479,17 +611,17 @@ let analyze (p : Program.t) =
                 Hashtbl.replace forked_here u ();
                 forks := (u, !seg) :: !forks;
                 shapes := Dpst.Sp_spawn u :: !shapes;
-                incr seg
+                next_seg ()
               | Program.Async u ->
                 asyncs := (u, in_finish) :: !asyncs;
                 (match !scope_stack with
                 | tasks :: _ -> tasks := u :: !tasks
                 | [] -> ());
                 shapes := Dpst.Sp_spawn u :: !shapes;
-                incr seg
+                next_seg ()
               | Program.Finish body ->
                 shapes := Dpst.Sp_open :: !shapes;
-                incr seg;
+                next_seg ();
                 scope_stack := ref [] :: !scope_stack;
                 walk true body;
                 (match !scope_stack with
@@ -498,7 +630,7 @@ let analyze (p : Program.t) =
                   scope_stack := rest
                 | [] -> assert false);
                 shapes := Dpst.Sp_close :: !shapes;
-                incr seg
+                next_seg ()
               | Program.Join u ->
                 if not (Hashtbl.mem known u) then
                   finding ~tid (Join_of_unknown u)
@@ -510,7 +642,7 @@ let analyze (p : Program.t) =
                   then finding ~tid (Join_before_fork u);
                   join_targets := u :: !join_targets;
                   shapes := Dpst.Sp_cut :: !shapes;
-                  incr seg;
+                  next_seg ();
                   joins := (u, !seg) :: !joins
                 end
               | Program.Barrier_wait b ->
@@ -518,7 +650,7 @@ let analyze (p : Program.t) =
                   finding ~tid (Unknown_barrier b);
                 bwaits := (b, !seg) :: !bwaits;
                 shapes := Dpst.Sp_cut :: !shapes;
-                incr seg
+                next_seg ()
               | Program.Volatile_read _ | Program.Volatile_write _
               | Program.Txn_begin | Program.Txn_end ->
                 ())
@@ -823,40 +955,71 @@ let analyze (p : Program.t) =
            ~threads:(List.map (fun w -> (w.w_tid, w.w_nsegs, w.w_shapes)) walks))
     else None
   in
-  let gfj, gfull = graphs_of_skeleton skeleton in
+  (* Rank the interned locksets like [compare] on their lock lists and
+     pack every context into the key of its read site. *)
+  let nls = Hashtbl.length locksets in
+  let lists = Array.make nls [] in
+  Hashtbl.iter (fun ls i -> lists.(i) <- ls) locksets;
+  let by_rank = Array.init nls Fun.id in
+  Array.sort (fun a b -> compare lists.(a) lists.(b)) by_rank;
+  let rank = Array.make nls 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  let l =
+    labels_of_skeleton skeleton ~locks:(Array.map (fun i -> lists.(i)) by_rank)
+  in
+  let ctx_key = Array.make (Hashtbl.length contexts) 0 in
+  Hashtbl.iter
+    (fun (t, s, ls) c ->
+      let v = l.l_base.(Hashtbl.find l.l_index t) + s in
+      ctx_key.(c) <- (v * 2 * nls) + rank.(ls))
+    contexts;
   (* Fields of one object typically share a site signature (same
-     loops, same locks), so classification — including the pairwise
-     ordering queries — is memoized on the signature. *)
-  let memo = Hashtbl.create 64 in
+     loops, same locks), so classification is memoized on the sorted
+     key array. *)
+  let memo = Ktbl.create 64 in
   let entries =
-    Hashtbl.fold (fun _ (x, sites, cnt) acc -> (x, sites, !cnt) :: acc) vars []
-    |> List.sort (fun (a, _, _) (b, _, _) -> Var.compare a b)
-    |> List.map (fun (x, sites_tbl, cnt) ->
-           let sites =
-             Hashtbl.fold
-               (fun (t, s, w, l) r acc ->
-                 { s_tid = t; s_seg = s; s_write = w; s_locks = l;
-                   s_count = !r }
-                 :: acc)
-               sites_tbl []
-             |> List.sort compare
-           in
-           let signature =
-             List.map (fun s -> (s.s_tid, s.s_seg, s.s_write, s.s_locks)) sites
-           in
+    Itbl.fold (fun key (x, sites) acc -> (key, x, sites) :: acc) vars []
+    |> List.sort (fun (_, a, _) (_, b, _) -> Var.compare a b)
+    |> List.map (fun (key, x, tbl) ->
+           let n = Itbl.length tbl in
+           let unsorted = Array.make n 0 and counts = Array.make n 0 in
+           let j = ref 0 in
+           Itbl.iter
+             (fun site cell ->
+               unsorted.(!j) <- ctx_key.(site lsr 1) + ((site land 1) * nls);
+               counts.(!j) <- !cell;
+               incr j)
+             tbl;
+           let order = Array.init n Fun.id in
+           Array.stable_sort
+             (fun a b -> Int.compare unsorted.(a) unsorted.(b))
+             order;
+           let keys = Array.map (fun i -> unsorted.(i)) order in
+           Itbl.replace l.l_keys key keys;
+           let sites = ref [] and accesses = ref 0 in
+           for r = n - 1 downto 0 do
+             let k = keys.(r) and c = counts.(order.(r)) in
+             let v = l.l_node.(key_node l k) in
+             sites :=
+               { s_tid = v.n_tid; s_seg = v.n_seg; s_write = key_write l k;
+                 s_locks = l.l_locks.(key_rank l k); s_count = c }
+               :: !sites;
+             accesses := !accesses + c
+           done;
            let verdict, cert =
-             match Hashtbl.find_opt memo signature with
+             match Ktbl.find_opt memo keys with
              | Some vc -> vc
              | None ->
-               let vc = classify sp gfj gfull sites in
-               Hashtbl.replace memo signature vc;
+               let verdict, cert = classify l sp keys in
+               let vc = (verdict, cert ()) in
+               Ktbl.replace memo keys vc;
                vc
            in
            { e_var = x;
              e_verdict = verdict;
              e_cert = cert;
-             e_sites = sites;
-             e_accesses = cnt })
+             e_sites = !sites;
+             e_accesses = !accesses })
   in
   let certified_accesses =
     List.fold_left
@@ -869,7 +1032,8 @@ let analyze (p : Program.t) =
     entries;
     findings = List.sort compare !findings;
     total_accesses = !total;
-    certified_accesses }
+    certified_accesses;
+    labels = l }
 
 (* ------------------------------------------------------------------ *)
 (* Queries.                                                           *)
@@ -894,49 +1058,42 @@ let eliminator ~granularity summary =
   | Var.Coarse ->
     (* A coarse detector runs one shadow location per object over the
        union of all its fields' accesses, so per-field certificates do
-       not compose: re-classify the merged site multiset and certify
-       the object only if the union itself is race-free. *)
-    let gfj, gfull = graphs_of_skeleton summary.skeleton in
+       not compose: re-classify the merged site set and certify the
+       object only if the union itself is race-free. *)
+    let l = summary.labels in
     let by_obj = Hashtbl.create 32 in
     List.iter
       (fun e ->
         let o = e.e_var.Var.obj in
+        let keys = Itbl.find l.l_keys (Var.key Var.Fine e.e_var) in
         Hashtbl.replace by_obj o
-          (e :: Option.value ~default:[] (Hashtbl.find_opt by_obj o)))
+          (keys :: Option.value ~default:[] (Hashtbl.find_opt by_obj o)))
       summary.entries;
     let ok = Hashtbl.create 32 in
     Hashtbl.iter
-      (fun o es ->
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun e ->
-            List.iter
-              (fun s ->
-                let k = (s.s_tid, s.s_seg, s.s_write, s.s_locks) in
-                let r =
-                  match Hashtbl.find_opt tbl k with
-                  | Some r -> r
-                  | None ->
-                    let r = ref 0 in
-                    Hashtbl.replace tbl k r;
-                    r
-                in
-                r := !r + s.s_count)
-              e.e_sites)
-          es;
-        let sites =
-          Hashtbl.fold
-            (fun (t, s, w, l) r acc ->
-              { s_tid = t; s_seg = s; s_write = w; s_locks = l; s_count = !r }
-              :: acc)
-            tbl []
-          |> List.sort compare
+      (fun o keys ->
+        let merged =
+          Array.of_list
+            (List.sort_uniq Int.compare (List.concat_map Array.to_list keys))
         in
-        match classify summary.sp gfj gfull sites with
+        match classify l summary.sp merged with
         | May_race, _ -> ()
         | _ -> Hashtbl.replace ok o ())
       by_obj;
     fun x -> Hashtbl.mem ok x.Var.obj
+
+let reaches summary ~barriers a b =
+  let l = summary.labels in
+  let id n =
+    match Hashtbl.find_opt l.l_index n.n_tid with
+    | Some i when n.n_seg >= 0 && n.n_seg < l.l_base.(i + 1) - l.l_base.(i) ->
+      l.l_base.(i) + n.n_seg
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "Static.reaches: t%d/s%d is not a skeleton node"
+           n.n_tid n.n_seg)
+  in
+  reaches_id l (if barriers then l.l_full else l.l_fj) (id a) (id b)
 
 let elimination_ratio summary =
   if summary.total_accesses = 0 then 0.

@@ -34,7 +34,31 @@
     Alongside the skeleton the walk tracks the held lockset at every
     program point (re-entrant, like the Scheduler) and collapses the
     accesses of each variable into {!site}s keyed by
-    [(tid, segment, kind, lockset)].
+    [(tid, segment, kind, lockset)].  Locksets are interned when they
+    change, and a site is one packed int, so the walk counts an access
+    with at most two int-keyed table lookups (none when it repeats the
+    previous access's variable and site).
+
+    {2 Reachability by vector clocks}
+
+    Each of the two graphs (fork/join edges only, and with barrier
+    edges) labels every node with an int clock over threads: entry
+    [i] of node [v]'s clock is the highest segment of thread [i] that
+    reaches [v].  Program order glues a thread's segments, so [a]
+    reaches [b] iff [clock(b)[tid a] >= seg a] — one comparison
+    ({!reaches}), as FastTrack replaces happens-before reachability by
+    clock comparisons.  One Kahn pass in topological order computes the
+    clocks; skeletons can be cyclic ([Join_before_fork], mutual joins),
+    and the nodes that pass leaves unvisited are relaxed again until
+    nothing changes.  Beside each entry the label keeps the edge that
+    last raised it.  A certificate's hop chain from [a] to [b] follows
+    these raisers for [a]'s thread back from [b] to the first node of
+    [a]'s thread at or after [a]; a raise needs a strict increase, so
+    the chains are loop-free.  Hop chains are witnesses, not shortest
+    paths: any chain {!check_certificate} accepts is valid.  Each
+    variable's sites collapse to nodes before pairing, the verdict is
+    decided by clock comparisons, and only the emitted verdict's
+    certificate is built.
 
     {2 Async-finish tier}
 
@@ -166,6 +190,11 @@ type finding = {
   f_kind : finding_kind;
 }
 
+type labels
+(** The skeleton labelled with vector clocks (with and without barrier
+    edges) and the variables' interned site keys: built once by
+    {!analyze}, read by {!reaches} and {!eliminator}. *)
+
 type summary = {
   threads : int;
   skeleton : skeleton;
@@ -176,6 +205,7 @@ type summary = {
   findings : finding list;
   total_accesses : int;
   certified_accesses : int;
+  labels : labels;
 }
 
 val fanout_limit : int
@@ -199,6 +229,12 @@ val eliminator : granularity:Var.granularity -> summary -> Var.t -> bool
     site set of its whole object is itself certified — per-field
     certificates do not compose (e.g. an array with one thread-local
     field per thread is racy to a coarse detector). *)
+
+val reaches : summary -> barriers:bool -> node -> node -> bool
+(** [reaches s ~barriers a b]: does a path lead from [a] to [b] in the
+    skeleton (reflexively; over fork/join edges alone, or also over
+    barrier edges)?  One clock comparison.  Raises [Invalid_argument]
+    for a node outside the skeleton. *)
 
 val elimination_ratio : summary -> float
 (** certified accesses / total accesses ([0.] when no accesses). *)

@@ -207,50 +207,55 @@ let has_finding s k = List.mem k (kinds_of s)
 
 let x0 = Var.make ~obj:900 ~field:0
 
+(* One small program per structural finding.  Join_before_fork makes
+   the skeleton cyclic, which the reachability differential below
+   replays too. *)
+let linter_fixtures =
+  [ ( "release without hold",
+      Program.make [ { Program.tid = 0; body = [ Program.Release 3 ] } ],
+      Static.Release_without_hold 3 );
+    ( "lock never released",
+      Program.make
+        [ { Program.tid = 0; body = [ Program.Acquire 2; Program.Read x0 ] } ],
+      Static.Lock_never_released 2 );
+    ( "wait without monitor",
+      Program.make [ { Program.tid = 0; body = [ Program.Wait 1 ] } ],
+      Static.Wait_without_monitor 1 );
+    ( "unknown barrier",
+      Program.make [ { Program.tid = 0; body = [ Program.Barrier_wait 7 ] } ],
+      Static.Unknown_barrier 7 );
+    ( "barrier party mismatch",
+      Program.make
+        ~barriers:[ { Program.id = 0; parties = 3 } ]
+        [ { Program.tid = 0; body = [ Program.Barrier_wait 0 ] };
+          { Program.tid = 1; body = [ Program.Barrier_wait 0 ] } ],
+      Static.Barrier_party_mismatch
+        { barrier = 0; parties = 3; participants = 2 } );
+    ( "barrier round mismatch",
+      Program.make
+        ~barriers:[ { Program.id = 0; parties = 2 } ]
+        [ { Program.tid = 0;
+            body = [ Program.Barrier_wait 0; Program.Barrier_wait 0 ] };
+          { Program.tid = 1; body = [ Program.Barrier_wait 0 ] } ],
+      Static.Barrier_round_mismatch { barrier = 0 } );
+    ( "join of unknown",
+      Program.make [ { Program.tid = 0; body = [ Program.Join 9 ] } ],
+      Static.Join_of_unknown 9 );
+    ( "join before fork",
+      Program.make
+        [ { Program.tid = 0; body = [ Program.Join 1; Program.Fork 1 ] };
+          { Program.tid = 1; body = [ Program.Read x0 ] } ],
+      Static.Join_before_fork 1 ) ]
+
 let test_linter_findings () =
-  let check name program expected =
-    let s = Static.analyze program in
-    if not (has_finding s expected) then
-      Alcotest.failf "%s: expected finding missing (got %d finding(s))"
-        name
-        (List.length s.Static.findings)
-  in
-  check "release without hold"
-    (Program.make [ { Program.tid = 0; body = [ Program.Release 3 ] } ])
-    (Static.Release_without_hold 3);
-  check "lock never released"
-    (Program.make
-       [ { Program.tid = 0;
-           body = [ Program.Acquire 2; Program.Read x0 ] } ])
-    (Static.Lock_never_released 2);
-  check "wait without monitor"
-    (Program.make [ { Program.tid = 0; body = [ Program.Wait 1 ] } ])
-    (Static.Wait_without_monitor 1);
-  check "unknown barrier"
-    (Program.make [ { Program.tid = 0; body = [ Program.Barrier_wait 7 ] } ])
-    (Static.Unknown_barrier 7);
-  check "barrier party mismatch"
-    (Program.make
-       ~barriers:[ { Program.id = 0; parties = 3 } ]
-       [ { Program.tid = 0; body = [ Program.Barrier_wait 0 ] };
-         { Program.tid = 1; body = [ Program.Barrier_wait 0 ] } ])
-    (Static.Barrier_party_mismatch
-       { barrier = 0; parties = 3; participants = 2 });
-  check "barrier round mismatch"
-    (Program.make
-       ~barriers:[ { Program.id = 0; parties = 2 } ]
-       [ { Program.tid = 0;
-           body = [ Program.Barrier_wait 0; Program.Barrier_wait 0 ] };
-         { Program.tid = 1; body = [ Program.Barrier_wait 0 ] } ])
-    (Static.Barrier_round_mismatch { barrier = 0 });
-  check "join of unknown"
-    (Program.make [ { Program.tid = 0; body = [ Program.Join 9 ] } ])
-    (Static.Join_of_unknown 9);
-  check "join before fork"
-    (Program.make
-       [ { Program.tid = 0; body = [ Program.Join 1; Program.Fork 1 ] };
-         { Program.tid = 1; body = [ Program.Read x0 ] } ])
-    (Static.Join_before_fork 1);
+  List.iter
+    (fun (name, program, expected) ->
+      let s = Static.analyze program in
+      if not (has_finding s expected) then
+        Alcotest.failf "%s: expected finding missing (got %d finding(s))"
+          name
+          (List.length s.Static.findings))
+    linter_fixtures;
   (* the built-in workloads must all lint clean *)
   List.iter
     (fun (w : Workload.t) ->
@@ -537,6 +542,202 @@ let qtest_trace_prefilters =
   Helpers.qtest ~count:150 "prefilters forward sync events (random traces)"
     prefilters_forward_syncs
 
+(* ------------------------------------------------------------------ *)
+(* skeleton reachability, verdict stability, scaling                  *)
+
+(* Reference reachability: a depth-first search over the skeleton's
+   edges with program order spelled out, independent of the clock
+   labels Static.reaches compares. *)
+let reference_reach (sk : Static.skeleton) ~barriers (a : Static.node) =
+  let seen = Hashtbl.create 64 in
+  let rec go (n : Static.node) =
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.replace seen n ();
+      if n.n_seg + 1 < List.assoc n.n_tid sk.sk_segs then
+        go { n with n_seg = n.n_seg + 1 };
+      List.iter
+        (fun (e : Static.edge) ->
+          match e.e_kind with
+          | Static.Barrier_edge _ when not barriers -> ()
+          | _ -> if e.e_from = n then go e.e_to)
+        sk.sk_edges
+    end
+  in
+  go a;
+  seen
+
+(* The first node pair, in either graph, on which Static.reaches and
+   the reference disagree. *)
+let reaches_mismatch (s : Static.summary) =
+  let nodes =
+    List.concat_map
+      (fun (t, ns) ->
+        List.init ns (fun seg -> { Static.n_tid = t; n_seg = seg }))
+      s.Static.skeleton.sk_segs
+  in
+  List.find_map
+    (fun barriers ->
+      List.find_map
+        (fun (a : Static.node) ->
+          let seen = reference_reach s.Static.skeleton ~barriers a in
+          List.find_map
+            (fun (b : Static.node) ->
+              let expected = Hashtbl.mem seen b in
+              if Static.reaches s ~barriers a b = expected then None
+              else
+                Some
+                  (Printf.sprintf
+                     "t%d/s%d -> t%d/s%d (barriers %b): expected %b" a.n_tid
+                     a.n_seg b.n_tid b.n_seg barriers expected))
+            nodes)
+        nodes)
+    [ false; true ]
+
+let certificate_failure (s : Static.summary) =
+  List.find_map
+    (fun (e : Static.entry) ->
+      match Static.check_certificate s e with
+      | Ok () -> None
+      | Error msg -> Some (Var.to_string e.e_var ^ ": " ^ msg))
+    s.Static.entries
+
+let prop_reaches (program, _seed) =
+  let s = Static.analyze program in
+  (match reaches_mismatch s with
+  | Some msg -> QCheck2.Test.fail_reportf "reaches disagrees: %s" msg
+  | None -> ());
+  (match certificate_failure s with
+  | Some msg -> QCheck2.Test.fail_reportf "certificate rejected on %s" msg
+  | None -> ());
+  true
+
+let qtest_reaches =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150
+       ~name:"reaches = reference closure (random programs)"
+       gen_program_and_seed prop_reaches)
+
+let qtest_reaches_tasks =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100
+       ~name:"reaches = reference closure (random task programs)"
+       Test_tasks.gen_task_program_and_seed prop_reaches)
+
+(* Cyclic skeletons: the linter fixtures (Join_before_fork closes a
+   cycle), a thread joining itself (a self-loop that blocks every later
+   node of the topological pass), and two threads joining each other,
+   whose writes are ordered only through the cycle. *)
+let test_reaches_cyclic () =
+  let mutual =
+    Program.make
+      [ { Program.tid = 0;
+          body = [ Program.Fork 1; Program.Join 1; Program.Write x0 ] };
+        { Program.tid = 1; body = [ Program.Join 0; Program.Write x0 ] } ]
+  in
+  let self_join =
+    Program.make
+      [ { Program.tid = 0;
+          body = [ Program.Fork 1; Program.Join 0; Program.Write x0 ] };
+        { Program.tid = 1; body = [ Program.Write x0 ] } ]
+  in
+  List.iter
+    (fun (name, program) ->
+      let s = Static.analyze program in
+      (match reaches_mismatch s with
+      | Some msg -> Alcotest.failf "%s: reaches disagrees: %s" name msg
+      | None -> ());
+      match certificate_failure s with
+      | Some msg -> Alcotest.failf "%s: certificate rejected on %s" name msg
+      | None -> ())
+    (("mutual joins", mutual) :: ("self join", self_join)
+    :: List.map (fun (name, program, _) -> (name, program)) linter_fixtures);
+  Alcotest.(check string) "mutual joins: writes ordered through the cycle"
+    "fork_join_ordered"
+    (Static.verdict_name (Static.verdict_of (Static.analyze mutual) x0))
+
+(* MD5 of each workload's "var:verdict" lines (Static.pp_verdict),
+   recorded when reachability was still a per-source BFS.  The
+   verdicts do not depend on the scale. *)
+let verdict_golden =
+  [ ("colt", "28fbcd8fea1b4962c99eace8babd2ab9");
+    ("crypt", "5c00067564d1e9a98026457872e602b9");
+    ("lufact", "515df669b9b2c58ff510c6afadd389ec");
+    ("moldyn", "bb37e83501a33bc68dc0c75ebb972bbd");
+    ("montecarlo", "cbbc531e61b558a1fba4f2df9f1f23cd");
+    ("mtrt", "cc6c602303539ca062466972cdf78461");
+    ("raja", "7814a0e32cb2f21654e840b4349a45b7");
+    ("raytracer", "1f54ea772adf7e1fec2741fd8be6fe63");
+    ("sparse", "65f16e66f7f15a40921fb0ccb55b1959");
+    ("series", "189f1f6f24437a144fe839a4f51702b5");
+    ("sor", "b981e73d94adca8213ff535773b12394");
+    ("tsp", "3f6d5ee2d3e18fa0818e209f4f685822");
+    ("elevator", "5e4a448ff91257f06272db9b11bf3f3b");
+    ("philo", "9b6d72e780c79afccecf71a541634fe5");
+    ("hedc", "f0d9e012b72cae9035b1410ab10c4566");
+    ("jbb", "795060512039766738055862b84c6234");
+    ("eclipse-startup", "a8dbd317fbdbec9fb79c773975759355");
+    ("eclipse-import", "f0e2d2af59f0596664f8f1d9154cba77");
+    ("eclipse-clean-small", "f378f1161eaf613da1dd696186ae4b07");
+    ("eclipse-clean-large", "8e3adecdb0199fe38d7eee7c23000d67");
+    ("eclipse-debug", "26d4f3628bfbf2635ab49b9d520202b9");
+    ("treesum", "645ba2a3c424de30912eb92df60cc2c0");
+    ("taskpipe", "fb46c255cf1f24fa230c4b59f0ebccb0");
+    ("daccount", "dd614b24cf5fefec4d28860be6188836") ]
+
+let verdict_digest (s : Static.summary) =
+  s.Static.entries
+  |> List.map (fun (e : Static.entry) ->
+         Format.asprintf "%s:%a" (Var.to_string e.e_var) Static.pp_verdict
+           e.e_verdict)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let test_verdict_golden () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let expected =
+        match List.assoc_opt w.name verdict_golden with
+        | Some d -> d
+        | None -> Alcotest.failf "%s: no golden verdict digest" w.name
+      in
+      List.iter
+        (fun scale ->
+          let s = Static.analyze (w.program ~scale) in
+          let name = Printf.sprintf "%s@%d" w.name scale in
+          Alcotest.(check string) (name ^ ": verdicts") expected
+            (verdict_digest s);
+          check_all_certificates name s)
+        [ 1; 2; 4 ])
+    Workloads.all
+
+(* Static.analyze stays near-linear in the program: on moldyn, words
+   allocated per access at scale 8 are at most 2.5x those at scale 1
+   (a per-source BFS read 9x).  Counting words instead of time keeps
+   the guard deterministic.  Gc.minor_words is exact; the major
+   counters are read after a minor collection, which also brings
+   direct major allocations into them. *)
+let words_per_access program =
+  let words () =
+    let st = Gc.quick_stat () in
+    Gc.minor_words () +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  Gc.minor ();
+  let w0 = words () in
+  let s = Static.analyze program in
+  Gc.minor ();
+  (words () -. w0) /. float_of_int s.Static.total_accesses
+
+let test_scaling_guard () =
+  let w =
+    match Workloads.find "moldyn" with
+    | Some w -> w
+    | None -> Alcotest.fail "moldyn workload missing"
+  in
+  let p1 = w.Workload.program ~scale:1 and p8 = w.Workload.program ~scale:8 in
+  let r1 = words_per_access p1 and r8 = words_per_access p8 in
+  if r8 > 2.5 *. r1 then
+    Alcotest.failf
+      "moldyn: %.1f words/access at scale 8 vs %.1f at scale 1 (> 2.5x)" r8 r1
+
 let suite =
   ( "static",
     [ Alcotest.test_case "certificates on all workloads" `Quick
@@ -559,4 +760,12 @@ let suite =
       Alcotest.test_case "cache invalidates on structural change" `Quick
         test_static_cache_invalidation;
       qtest_programs;
-      qtest_trace_prefilters ] )
+      qtest_trace_prefilters;
+      qtest_reaches;
+      qtest_reaches_tasks;
+      Alcotest.test_case "reaches on cyclic skeletons" `Quick
+        test_reaches_cyclic;
+      Alcotest.test_case "verdict golden at scales 1, 2, 4" `Slow
+        test_verdict_golden;
+      Alcotest.test_case "analysis allocation stays near-linear" `Quick
+        test_scaling_guard ] )
