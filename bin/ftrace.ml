@@ -35,6 +35,18 @@ let load_trace spec =
            "%s: neither a file nor a workload (try `ftrace workloads')"
            spec)
 
+(* A trace file is an arbitrary event log: refuse an infeasible one
+   (Section 2.1) before any analysis, naming its first violation.
+   Workload traces are scheduled from a program and feasible by
+   construction, so they skip the check. *)
+let load_feasible spec =
+  match load_trace spec with
+  | Ok tr when Workloads.find spec = None -> (
+    match Validity.check tr with
+    | [] -> Ok tr
+    | v :: _ -> Error (Format.asprintf "%s: %a" spec Validity.pp_violation v))
+  | loaded -> loaded
+
 let detectors =
   [ ("empty", (module Empty_tool : Detector.S));
     ("eraser", (module Eraser));
@@ -426,7 +438,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
     Printf.eprintf "ftrace: %s\n" msg;
     1
   | None -> (
-  match load_trace path with
+  match load_feasible path with
   | Error msg ->
     prerr_endline msg;
     1
@@ -1179,7 +1191,29 @@ let lint name scale json fail_on_finding mhp_query =
             a.Static.n_seg b.Static.n_tid b.Static.n_seg
             (if Static.mhp summary a b then "parallel" else "ordered"))
       mhp_query;
-    if !mhp_bad then 1
+    (* Replay every certificate the report carries; a rejected one is a
+       bug in the analysis, never a finding to wave through. *)
+    let rejected =
+      List.filter_map
+        (fun (e : Static.entry) ->
+          match Static.check_certificate summary e with
+          | Ok () -> None
+          | Error msg -> Some (e, msg))
+        summary.Static.entries
+    in
+    List.iter
+      (fun ((e : Static.entry), msg) ->
+        Printf.eprintf "certificate rejected on %s: %s\n"
+          (Var.to_string e.Static.e_var) msg)
+      rejected;
+    if json <> Some "-" then
+      Printf.printf "certificates: %d replayed, %d rejected\n"
+        (List.length
+           (List.filter
+              (fun (e : Static.entry) -> e.Static.e_cert <> None)
+              summary.Static.entries))
+        (List.length rejected);
+    if !mhp_bad || rejected <> [] then 1
     else if fail_on_finding && summary.Static.findings <> [] then 1
     else 0
 
@@ -1193,7 +1227,7 @@ let lint_cmd =
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the analysis (schema $(b,ftrace.static/1): \
+             ~doc:"Also write the analysis (schema $(b,ftrace.static/2): \
                    per-variable verdicts with machine-checkable \
                    certificates, lint findings, elimination ratio) as \
                    JSON to $(docv); $(b,-) writes to stdout.")
@@ -1219,8 +1253,9 @@ let lint_cmd =
        ~doc:"Ahead-of-run static race analysis of a workload's program: \
              per-variable verdicts (thread-local, task-local, read-only, \
              lock-protected, sp-ordered, barrier-phased, \
-             fork/join-ordered, may-race) with certificates, plus \
-             structural lint findings")
+             fork/join-ordered, may-race) with certificates, each \
+             replayed by the certificate checker (exit 1 if one is \
+             rejected), plus structural lint findings")
     Term.(
       const lint $ workload_arg $ scale_arg $ json $ fail_on_finding
       $ mhp)

@@ -31,29 +31,26 @@ type verdict =
   | Barrier_phased
   | May_race
 
-type hop = { h_from : node; h_to : node; h_kind : edge_kind }
+type chain = int array
 
-type ordered_pair = {
-  op_before : node;
-  op_after : node;
-  op_hops : hop list;
-}
+type link = { k_read : node; k_after : int; k_in : chain; k_out : chain }
 
-type sp_pair = { sp_before : node; sp_after : node }
+type order = { o_writes : node array; o_steps : chain array; o_reads : link array }
 
 type certificate =
   | Cert_thread_local of Tid.t
   | Cert_task_local of Tid.t
   | Cert_read_only
   | Cert_lock_protected of Lockid.t
-  | Cert_sp_ordered of { c_sp_pairs : sp_pair list }
-  | Cert_ordered of { c_barrier : bool; c_pairs : ordered_pair list }
+  | Cert_sp_ordered of order
+  | Cert_ordered of { c_barrier : bool; c_order : order }
 
 type entry = {
   e_var : Var.t;
   e_verdict : verdict;
   e_cert : certificate option;
-  e_sites : site list;
+  e_keys : int array;
+  e_counts : int array;
   e_accesses : int;
 }
 
@@ -117,12 +114,12 @@ type labels = {
   l_base : int array;                (* thread index -> first node id *)
   l_node : node array;               (* node id -> node *)
   l_thr : int array;                 (* node id -> thread index *)
-  l_hops : hop array;                (* edge index -> the edge as a hop *)
+  l_edges : edge array;              (* edge index -> skeleton edge *)
   l_src : int array;                 (* edge index -> source node id *)
   l_fj : graph;
   l_full : graph;
   l_locks : Lockid.t list array;     (* lockset rank -> sorted locks *)
-  l_keys : int array Itbl.t;         (* Var.key Fine -> packed site keys *)
+  l_entries : entry Itbl.t;          (* Var.key Fine -> entry *)
 }
 
 type summary = {
@@ -246,33 +243,38 @@ let labels_of_skeleton sk ~locks =
     l_base = base;
     l_node = node;
     l_thr = thr;
-    l_hops =
-      Array.map
-        (fun e -> { h_from = e.e_from; h_to = e.e_to; h_kind = e.e_kind })
-        edges;
+    l_edges = edges;
     l_src = src;
     l_fj =
       label ~keep:(fun k ->
           match edges.(k).e_kind with Barrier_edge _ -> false | _ -> true);
     l_full = label ~keep:(fun _ -> true);
     l_locks = locks;
-    l_keys = Itbl.create 64 }
+    l_entries = Itbl.create 64 }
+
+(* The node id of [n], or -1 outside the skeleton. *)
+let node_id l n =
+  match Hashtbl.find_opt l.l_index n.n_tid with
+  | Some i when n.n_seg >= 0 && n.n_seg < l.l_base.(i + 1) - l.l_base.(i) ->
+    l.l_base.(i) + n.n_seg
+  | _ -> -1
 
 let reaches_id l g a b =
   g.g_clk.((b * l.l_threads) + l.l_thr.(a)) >= l.l_node.(a).n_seg
 
-(* The inter-thread edges of a witness path from [a] to [b] (program
-   order glues the rest; the certificate checker re-checks it): follow
-   the raisers of [a]'s thread entry back from [b] until the first node
-   of [a]'s thread at or after [a]. *)
-let rec hops_back l g i sa v acc =
-  if l.l_thr.(v) = i && l.l_node.(v).n_seg >= sa then acc
-  else
-    let r = g.g_by.((v * l.l_threads) + i) in
-    if r = -2 then hops_back l g i sa (v - 1) acc
-    else hops_back l g i sa l.l_src.(r) (l.l_hops.(r) :: acc)
-
-let hops l g a b = hops_back l g l.l_thr.(a) l.l_node.(a).n_seg b []
+(* The inter-thread edges of a witness path from [a] to [b], as edge
+   indices (program order glues the rest; the certificate checker
+   re-checks it): follow the raisers of [a]'s thread entry back from
+   [b] until the first node of [a]'s thread at or after [a]. *)
+let chain l g a b =
+  let i = l.l_thr.(a) and sa = l.l_node.(a).n_seg in
+  let rec back v acc =
+    if l.l_thr.(v) = i && l.l_node.(v).n_seg >= sa then acc
+    else
+      let r = g.g_by.((v * l.l_threads) + i) in
+      if r = -2 then back (v - 1) acc else back l.l_src.(r) (r :: acc)
+  in
+  Array.of_list (back b [])
 
 (* ------------------------------------------------------------------ *)
 (* Classification.                                                    *)
@@ -285,15 +287,97 @@ let key_node l k = k / (2 * Array.length l.l_locks)
 let key_write l k = (k / Array.length l.l_locks) land 1 = 1
 let key_rank l k = k mod Array.length l.l_locks
 
-let site_node s = { n_tid = s.s_tid; n_seg = s.s_seg }
+(* The node ids of a sorted key array, split into write nodes (some
+   write site) and read nodes (read sites only), both ascending. *)
+let split_nodes l keys =
+  let n = Array.length keys in
+  let ws = Array.make n 0 and rs = Array.make n 0 in
+  let nw = ref 0 and nr = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let v = key_node l keys.(!i) in
+    let w = ref false in
+    while !i < n && key_node l keys.(!i) = v do
+      if key_write l keys.(!i) then w := true;
+      incr i
+    done;
+    if !w then begin
+      ws.(!nw) <- v;
+      incr nw
+    end
+    else begin
+      rs.(!nr) <- v;
+      incr nr
+    end
+  done;
+  (Array.sub ws 0 !nw, Array.sub rs 0 !nr)
 
-let conflicting s1 s2 = s1.s_tid <> s2.s_tid && (s1.s_write || s2.s_write)
+(* The epoch shape of an ordering proof (the paper's Section 3: on a
+   race-free variable the writes are totally ordered, so one epoch
+   stands in for a vector clock).  [before a b] is the ordering
+   relation on node ids (reflexive on program order, transitive).
+   Sort the write nodes by it and check that each consecutive pair is
+   ordered; place each read node by binary search after the last write
+   that is ordered before it, and check that it is ordered before the
+   next one.  If every check passes, transitivity orders every write
+   pair and every write-read pair.  Conversely, if every conflicting
+   pair is ordered then so is every pair of these nodes (same-thread
+   pairs by program order), the comparator is a total preorder and
+   every check passes — so this decides exactly "all conflicting pairs
+   ordered".  Returns the sorted writes and, per read, the index of the
+   write before it (-1: none). *)
+let epochs ~before ws rs =
+  let m = Array.length ws in
+  let ws = Array.copy ws in
+  Array.stable_sort
+    (fun a b ->
+      if a = b then 0
+      else
+        match (before a b, before b a) with
+        | true, false -> -1
+        | false, true -> 1
+        | _ -> Int.compare a b (* one strongly connected class *))
+    ws;
+  let rec writes_ok i = i + 1 >= m || (before ws.(i) ws.(i + 1) && writes_ok (i + 1)) in
+  if not (writes_ok 0) then None
+  else begin
+    let place r =
+      (* the last write ordered before [r]: writes before it form a
+         prefix whenever the proof exists *)
+      let lo = ref (-1) and hi = ref m in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if before ws.(mid) r then lo := mid else hi := mid
+      done;
+      !lo
+    in
+    let after = Array.map place rs in
+    let ok = ref true in
+    Array.iteri
+      (fun j k -> if k + 1 < m && not (before rs.(j) ws.(k + 1)) then ok := false)
+      after;
+    if !ok then Some (ws, after) else None
+  end
+
+let order_of l ~chain (ws, after) rs =
+  let m = Array.length ws in
+  let nd v = l.l_node.(v) in
+  { o_writes = Array.map nd ws;
+    o_steps = Array.init (max 0 (m - 1)) (fun i -> chain ws.(i) ws.(i + 1));
+    o_reads =
+      Array.mapi
+        (fun j r ->
+          let k = after.(j) in
+          { k_read = nd r;
+            k_after = k;
+            k_in = (if k >= 0 then chain ws.(k) r else [||]);
+            k_out = (if k + 1 < m then chain r ws.(k + 1) else [||]) })
+        rs }
 
 (* The verdict of a sorted, duplicate-free site-key array, and a thunk
    building its certificate: ordering is a property of program points,
-   so the sites collapse to [(node, has_read, has_write)] and the
-   conflicting node pairs are decided by clock comparisons before any
-   hop list is built. *)
+   so the sites collapse to write and read nodes and the verdict is
+   decided on the epoch shape before any chain is built. *)
 let classify l sp keys =
   let n = Array.length keys in
   let tid k = l.l_node.(key_node l k).n_tid in
@@ -321,84 +405,31 @@ let classify l sp keys =
     match !common with
     | m :: _ -> (Lock_protected m, fun () -> Some (Cert_lock_protected m))
     | [] -> (
-      let nd = Array.make n 0 in
-      let nr = Array.make n false and nw = Array.make n false in
-      let m = ref 0 in
-      Array.iter
-        (fun k ->
-          let v = key_node l k in
-          if !m = 0 || nd.(!m - 1) <> v then begin
-            nd.(!m) <- v;
-            incr m
-          end;
-          if key_write l k then nw.(!m - 1) <- true else nr.(!m - 1) <- true)
-        keys;
-      let m = !m in
-      (* Conflicting cross-thread node pairs, in the order a scan over
-         the sorted site pairs (i < j) first meets them: a node's read
-         sites sort before its write sites. *)
-      let iter_pairs f =
-        for p = 0 to m - 1 do
-          let tp = l.l_thr.(nd.(p)) in
-          let pass want =
-            for q = p + 1 to m - 1 do
-              if l.l_thr.(nd.(q)) <> tp && want q then f nd.(p) nd.(q)
-            done
-          in
-          if not nr.(p) then pass (fun _ -> true)
-          else begin
-            pass (fun q -> nw.(q));
-            if nw.(p) then pass (fun q -> not nw.(q))
-          end
-        done
-      in
-      let all ok =
-        let exception Stop in
-        try
-          iter_pairs (fun a b -> if not (ok a b) then raise Stop);
-          true
-        with Stop -> false
-      in
-      let collect f =
-        let acc = ref [] in
-        iter_pairs (fun a b -> acc := f a b :: !acc);
-        List.rev !acc
-      in
+      let ws, rs = split_nodes l keys in
       let point v = (l.l_node.(v).n_tid, l.l_node.(v).n_seg) in
-      let ordered g a b = reaches_id l g a b || reaches_id l g b a in
-      let witness g a b =
-        if reaches_id l g a b then
-          { op_before = l.l_node.(a); op_after = l.l_node.(b);
-            op_hops = hops l g a b }
-        else
-          { op_before = l.l_node.(b); op_after = l.l_node.(a);
-            op_hops = hops l g b a }
+      let sp_shape =
+        match sp with
+        | Some d ->
+          epochs ~before:(fun a b -> Dpst.ordered_before d (point a) (point b)) ws rs
+        | None -> None
       in
-      match sp with
-      | Some d when all (fun a b -> not (Dpst.mhp d (point a) (point b))) ->
+      match sp_shape with
+      | Some shape ->
         ( Sp_ordered,
-          fun () ->
-            let c_sp_pairs =
-              collect (fun a b ->
-                  if Dpst.ordered_before d (point a) (point b) then
-                    { sp_before = l.l_node.(a); sp_after = l.l_node.(b) }
-                  else { sp_before = l.l_node.(b); sp_after = l.l_node.(a) })
-            in
-            Some (Cert_sp_ordered { c_sp_pairs }) )
-      | _ ->
-        if all (ordered l.l_fj) then
-          ( Fork_join_ordered,
-            fun () ->
-              Some
-                (Cert_ordered
-                   { c_barrier = false; c_pairs = collect (witness l.l_fj) }) )
-        else if all (ordered l.l_full) then
-          ( Barrier_phased,
-            fun () ->
-              Some
-                (Cert_ordered
-                   { c_barrier = true; c_pairs = collect (witness l.l_full) }) )
-        else (May_race, fun () -> None))
+          fun () -> Some (Cert_sp_ordered (order_of l ~chain:(fun _ _ -> [||]) shape rs)) )
+      | None -> (
+        let graph_shape g = epochs ~before:(reaches_id l g) ws rs in
+        let cert g barrier shape () =
+          Some
+            (Cert_ordered
+               { c_barrier = barrier; c_order = order_of l ~chain:(chain l g) shape rs })
+        in
+        match graph_shape l.l_fj with
+        | Some shape -> (Fork_join_ordered, cert l.l_fj false shape)
+        | None -> (
+          match graph_shape l.l_full with
+          | Some shape -> (Barrier_phased, cert l.l_full true shape)
+          | None -> (May_race, fun () -> None))))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -417,6 +448,31 @@ type walk = {
   w_join_targets : Tid.t list;
 }
 
+(* One variable's sites during the walk: [a_sites.(2j)] is a walk key
+   [(node lsl 32) lor (lockset id lsl 1) lor write] (node ids stay below
+   2^30 and lockset ids below 2^31) and [a_sites.(2j + 1)] its access
+   count. *)
+type acc = { a_var : Var.t; mutable a_sites : int array; mutable a_n : int }
+
+let compare_node a b =
+  match Tid.compare a.n_tid b.n_tid with 0 -> Int.compare a.n_seg b.n_seg | c -> c
+
+(* The order of [compare] on edge kinds: constant constructors first. *)
+let compare_kind a b =
+  let rank = function Po -> 0 | Fork_edge -> 1 | Join_edge -> 2 | Barrier_edge _ -> 3 in
+  match (a, b) with
+  | Barrier_edge a, Barrier_edge b -> (
+    match Int.compare a.barrier b.barrier with
+    | 0 -> Int.compare a.round b.round
+    | c -> c)
+  | _ -> Int.compare (rank a) (rank b)
+
+let compare_edge a b =
+  match compare_node a.e_from b.e_from with
+  | 0 -> (
+    match compare_node a.e_to b.e_to with 0 -> compare_kind a.e_kind b.e_kind | c -> c)
+  | c -> c
+
 let analyze (p : Program.t) =
   let threads = p.Program.threads in
   let known = Hashtbl.create 16 in
@@ -428,27 +484,6 @@ let analyze (p : Program.t) =
     (fun (b : Program.barrier) ->
       Hashtbl.replace parties_of b.Program.id b.Program.parties)
     p.Program.barriers;
-  (* Pre-pass: global spawn multiplicity over both tiers (a duplicate
-     spawn makes the target's start ambiguous — lint and drop the fork
-     edge / detach the task in the DPST) and the set of async-spawned
-     threads (the "tasks"). *)
-  let fork_count = Hashtbl.create 16 in
-  let async_targets = Hashtbl.create 16 in
-  List.iter
-    (fun (th : Program.thread) ->
-      Program.iter_stmts
-        (function
-          | Program.Fork u | Program.Async u ->
-            Hashtbl.replace fork_count u
-              (1 + Option.value ~default:0 (Hashtbl.find_opt fork_count u))
-          | _ -> ())
-        th.Program.body;
-      Program.iter_stmts
-        (function
-          | Program.Async u -> Hashtbl.replace async_targets u ()
-          | _ -> ())
-        th.Program.body)
-    threads;
   let findings = ref [] in
   let fseen = Hashtbl.create 16 in
   let finding ?tid kind =
@@ -458,7 +493,6 @@ let analyze (p : Program.t) =
       findings := f :: !findings
     end
   in
-  Hashtbl.iter (fun u c -> if c > 1 then finding (Duplicate_fork u)) fork_count;
   (* Lock-order graph: an edge m1 -> m2 when some thread acquires m2
      (or re-acquires it inside a wait) while holding m1.  Edges carry
      their contributing threads: a cycle walked entirely by one thread
@@ -478,199 +512,239 @@ let analyze (p : Program.t) =
     in
     Hashtbl.replace tids tid ()
   in
-  (* Per-variable accumulators, keyed by [Var.key Fine]: each counts
-     the accesses per walk site [ctx * 2 + write], where a context [ctx]
-     interns one (tid, segment, lockset id) triple and a lockset id
-     interns one sorted held-lock list.  Both change only at
-     synchronization statements; loops hit the same variable and site
-     back to back, which a one-entry cache serves without a lookup (and
-     a change of site alone without the variable lookup). *)
-  let vars : (Var.t * int ref Itbl.t) Itbl.t = Itbl.create 64 in
-  let intern tbl k =
-    match Hashtbl.find_opt tbl k with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length tbl in
-      Hashtbl.replace tbl k i;
-      i
-  in
+  (* Per-variable sites, keyed by [Var.key Fine].  Threads are walked in
+     ascending tid order, so node ids ([base of the thread + segment])
+     never decrease during the walk: a variable's sites are appended in
+     node order, and a site already seen can only sit in the run of its
+     own node at the end.  Loops hit the same variable and site back to
+     back, which a one-entry cache serves without a lookup. *)
+  let vars : acc Itbl.t = Itbl.create 64 in
   let locksets : (Lockid.t list, int) Hashtbl.t = Hashtbl.create 16 in
   Hashtbl.replace locksets [] 0;
-  let contexts : (Tid.t * int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let total = ref 0 in
   let last_var = ref (-1) in
-  let last_sites = ref (Itbl.create 1) in
-  let last_site = ref (-1) and last_cell = ref (ref 0) in
-  let record_access x site =
+  let last_acc = ref { a_var = Var.scalar 0; a_sites = [||]; a_n = 0 } in
+  let last_slot = ref (-1) in
+  let record_access x wk =
     incr total;
     let key = Var.key Var.Fine x in
     if key <> !last_var then begin
       last_var := key;
-      last_site := -1;
-      last_sites :=
+      last_slot := -1;
+      last_acc :=
         match Itbl.find_opt vars key with
-        | Some (_, sites) -> sites
+        | Some a -> a
         | None ->
-          let sites = Itbl.create 4 in
-          Itbl.add vars key (x, sites);
-          sites
+          let a = { a_var = x; a_sites = Array.make 4 0; a_n = 0 } in
+          Itbl.add vars key a;
+          a
     end;
-    if site = !last_site then incr !last_cell
+    let a = !last_acc in
+    let s = a.a_sites in
+    if !last_slot >= 0 && s.(!last_slot) = wk then
+      s.(!last_slot + 1) <- s.(!last_slot + 1) + 1
     else begin
-      let cell =
-        match Itbl.find_opt !last_sites site with
-        | Some cell -> cell
-        | None ->
-          let cell = ref 0 in
-          Itbl.add !last_sites site cell;
-          cell
-      in
-      incr cell;
-      last_site := site;
-      last_cell := cell
+      let node = wk lsr 32 in
+      let j = ref (a.a_n - 1) in
+      while !j >= 0 && s.(2 * !j) <> wk && s.(2 * !j) lsr 32 = node do
+        decr j
+      done;
+      if !j >= 0 && s.(2 * !j) = wk then begin
+        s.((2 * !j) + 1) <- s.((2 * !j) + 1) + 1;
+        last_slot := 2 * !j
+      end
+      else begin
+        if 2 * a.a_n = Array.length s then begin
+          let grown = Array.make (2 * Array.length s) 0 in
+          Array.blit s 0 grown 0 (Array.length s);
+          a.a_sites <- grown
+        end;
+        let slot = 2 * a.a_n in
+        a.a_sites.(slot) <- wk;
+        a.a_sites.(slot + 1) <- 1;
+        a.a_n <- a.a_n + 1;
+        last_slot := slot
+      end
     end
   in
-  let walks =
-    List.map
-      (fun (th : Program.thread) ->
-        let tid = th.Program.tid in
-        let seg = ref 0 in
-        let held = Hashtbl.create 8 in
-        let cur_locks = ref [] in
-        let cur_lockset = ref 0 in
-        let cur_ctx = ref (-1) in
-        let recompute () =
-          cur_locks :=
-            Hashtbl.fold (fun m c acc -> if c > 0 then m :: acc else acc) held []
-            |> List.sort Lockid.compare;
-          cur_lockset := intern locksets !cur_locks;
-          cur_ctx := -1
-        in
-        let next_seg () =
-          incr seg;
-          cur_ctx := -1
-        in
-        let access x ~write =
-          if !cur_ctx < 0 then
-            cur_ctx := intern contexts (tid, !seg, !cur_lockset);
-          record_access x ((!cur_ctx * 2) + Bool.to_int write)
-        in
-        let forks = ref [] and joins = ref [] and bwaits = ref [] in
-        let shapes = ref [] in
-        let asyncs = ref [] in
-        let scopes = ref [] in
-        let scope_stack = ref [] in
-        let join_targets = ref [] in
-        let forked_here = Hashtbl.create 4 in
-        let forks_in_body = Hashtbl.create 4 in
-        Program.iter_stmts
-          (function
-            | Program.Fork u -> Hashtbl.replace forks_in_body u ()
-            | _ -> ())
-          th.Program.body;
-        (* The segment-boundary discipline below (where [seg] is read
-           vs incremented) is load-bearing: the scheduler's event
-           order, the DPST leaves, and [access_segments] all mirror
-           it. *)
-        let rec walk in_finish stmts =
-          List.iter
-            (fun stmt ->
-              match stmt with
-              | Program.Read x ->
-                access x ~write:false
-              | Program.Write x ->
-                access x ~write:true
-              | Program.Acquire m ->
-                let c = Option.value ~default:0 (Hashtbl.find_opt held m) in
-                if c = 0 then
-                  List.iter (fun h -> lock_edge ~tid h m) !cur_locks;
-                Hashtbl.replace held m (c + 1);
-                if c = 0 then recompute ()
-              | Program.Release m ->
-                let c = Option.value ~default:0 (Hashtbl.find_opt held m) in
-                if c = 0 then finding ~tid (Release_without_hold m)
-                else begin
-                  Hashtbl.replace held m (c - 1);
-                  if c = 1 then recompute ()
-                end
-              | Program.Wait m ->
-                (* wait releases and re-acquires [m]; the lockset after
-                   the statement is unchanged, but the thread must hold
-                   the monitor going in *)
-                if Option.value ~default:0 (Hashtbl.find_opt held m) = 0 then
-                  finding ~tid (Wait_without_monitor m)
-                else
-                  (* the wakeup re-acquires [m] while every other held
-                     lock stays held — the same ordering constraint as a
-                     fresh acquisition *)
-                  List.iter
-                    (fun h ->
-                      if not (Lockid.equal h m) then lock_edge ~tid h m)
-                    !cur_locks
-              | Program.Fork u ->
-                Hashtbl.replace forked_here u ();
-                forks := (u, !seg) :: !forks;
-                shapes := Dpst.Sp_spawn u :: !shapes;
-                next_seg ()
-              | Program.Async u ->
-                asyncs := (u, in_finish) :: !asyncs;
-                (match !scope_stack with
-                | tasks :: _ -> tasks := u :: !tasks
-                | [] -> ());
-                shapes := Dpst.Sp_spawn u :: !shapes;
-                next_seg ()
-              | Program.Finish body ->
-                shapes := Dpst.Sp_open :: !shapes;
-                next_seg ();
-                scope_stack := ref [] :: !scope_stack;
-                walk true body;
-                (match !scope_stack with
-                | tasks :: rest ->
-                  scopes := List.rev !tasks :: !scopes;
-                  scope_stack := rest
-                | [] -> assert false);
-                shapes := Dpst.Sp_close :: !shapes;
-                next_seg ()
-              | Program.Join u ->
-                if not (Hashtbl.mem known u) then
-                  finding ~tid (Join_of_unknown u)
-                else begin
-                  if Hashtbl.mem async_targets u then
-                    finding ~tid (Join_of_task u);
-                  if Hashtbl.mem forks_in_body u
-                     && not (Hashtbl.mem forked_here u)
-                  then finding ~tid (Join_before_fork u);
-                  join_targets := u :: !join_targets;
-                  shapes := Dpst.Sp_cut :: !shapes;
-                  next_seg ();
-                  joins := (u, !seg) :: !joins
-                end
-              | Program.Barrier_wait b ->
-                if not (Hashtbl.mem parties_of b) then
-                  finding ~tid (Unknown_barrier b);
-                bwaits := (b, !seg) :: !bwaits;
-                shapes := Dpst.Sp_cut :: !shapes;
-                next_seg ()
-              | Program.Volatile_read _ | Program.Volatile_write _
-              | Program.Txn_begin | Program.Txn_end ->
-                ())
-            stmts
-        in
-        walk false th.Program.body;
-        Hashtbl.iter
-          (fun m c -> if c > 0 then finding ~tid (Lock_never_released m))
-          held;
-        { w_tid = tid;
-          w_nsegs = !seg + 1;
-          w_forks = List.rev !forks;
-          w_joins = List.rev !joins;
-          w_bwaits = List.rev !bwaits;
-          w_shapes = List.rev !shapes;
-          w_asyncs = List.rev !asyncs;
-          w_scopes = List.rev !scopes;
-          w_join_targets = List.rev !join_targets })
-      threads
+  let base = ref 0 in
+  let walk_thread (th : Program.thread) =
+    let tid = th.Program.tid in
+    let seg = ref 0 in
+    let held = Hashtbl.create 8 in
+    let cur_locks = ref [] in
+    let cur_lockset = ref 0 in
+    (* the walk key of a read at the current point *)
+    let cur_site = ref (!base lsl 32) in
+    let resite () = cur_site := ((!base + !seg) lsl 32) lor (!cur_lockset lsl 1) in
+    let recompute () =
+      cur_locks :=
+        Hashtbl.fold (fun m c acc -> if c > 0 then m :: acc else acc) held []
+        |> List.sort Lockid.compare;
+      cur_lockset :=
+        (match Hashtbl.find_opt locksets !cur_locks with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length locksets in
+          Hashtbl.replace locksets !cur_locks i;
+          i);
+      resite ()
+    in
+    let next_seg () =
+      incr seg;
+      resite ()
+    in
+    let forks = ref [] and joins = ref [] and bwaits = ref [] in
+    let shapes = ref [] in
+    let asyncs = ref [] in
+    let scopes = ref [] in
+    let scope_stack = ref [] in
+    let join_targets = ref [] in
+    let forked_here = Hashtbl.create 4 in
+    (* joins of threads not yet forked here: Join_before_fork if this
+       body forks them later *)
+    let early_joins = ref [] in
+    (* The segment-boundary discipline below (where [seg] is read
+       vs incremented) is load-bearing: the scheduler's event
+       order, the DPST leaves, and [access_segments] all mirror
+       it. *)
+    let rec walk in_finish stmts =
+      List.iter
+        (fun stmt ->
+          match stmt with
+          | Program.Read x -> record_access x !cur_site
+          | Program.Write x -> record_access x (!cur_site lor 1)
+          | Program.Acquire m ->
+            let c = Option.value ~default:0 (Hashtbl.find_opt held m) in
+            if c = 0 then
+              List.iter (fun h -> lock_edge ~tid h m) !cur_locks;
+            Hashtbl.replace held m (c + 1);
+            if c = 0 then recompute ()
+          | Program.Release m ->
+            let c = Option.value ~default:0 (Hashtbl.find_opt held m) in
+            if c = 0 then finding ~tid (Release_without_hold m)
+            else begin
+              Hashtbl.replace held m (c - 1);
+              if c = 1 then recompute ()
+            end
+          | Program.Wait m ->
+            (* wait releases and re-acquires [m]; the lockset after
+               the statement is unchanged, but the thread must hold
+               the monitor going in *)
+            if Option.value ~default:0 (Hashtbl.find_opt held m) = 0 then
+              finding ~tid (Wait_without_monitor m)
+            else
+              (* the wakeup re-acquires [m] while every other held
+                 lock stays held — the same ordering constraint as a
+                 fresh acquisition *)
+              List.iter
+                (fun h ->
+                  if not (Lockid.equal h m) then lock_edge ~tid h m)
+                !cur_locks
+          | Program.Fork u ->
+            Hashtbl.replace forked_here u ();
+            forks := (u, !seg) :: !forks;
+            shapes := Dpst.Sp_spawn u :: !shapes;
+            next_seg ()
+          | Program.Async u ->
+            asyncs := (u, in_finish) :: !asyncs;
+            (match !scope_stack with
+            | tasks :: _ -> tasks := u :: !tasks
+            | [] -> ());
+            shapes := Dpst.Sp_spawn u :: !shapes;
+            next_seg ()
+          | Program.Finish body ->
+            shapes := Dpst.Sp_open :: !shapes;
+            next_seg ();
+            scope_stack := ref [] :: !scope_stack;
+            walk true body;
+            (match !scope_stack with
+            | tasks :: rest ->
+              scopes := List.rev !tasks :: !scopes;
+              scope_stack := rest
+            | [] -> assert false);
+            shapes := Dpst.Sp_close :: !shapes;
+            next_seg ()
+          | Program.Join u ->
+            if not (Hashtbl.mem known u) then
+              finding ~tid (Join_of_unknown u)
+            else begin
+              if not (Hashtbl.mem forked_here u) then
+                early_joins := u :: !early_joins;
+              join_targets := u :: !join_targets;
+              shapes := Dpst.Sp_cut :: !shapes;
+              next_seg ();
+              joins := (u, !seg) :: !joins
+            end
+          | Program.Barrier_wait b ->
+            if not (Hashtbl.mem parties_of b) then
+              finding ~tid (Unknown_barrier b);
+            bwaits := (b, !seg) :: !bwaits;
+            shapes := Dpst.Sp_cut :: !shapes;
+            next_seg ()
+          | Program.Volatile_read _ | Program.Volatile_write _
+          | Program.Txn_begin | Program.Txn_end ->
+            ())
+        stmts
+    in
+    walk false th.Program.body;
+    Hashtbl.iter
+      (fun m c -> if c > 0 then finding ~tid (Lock_never_released m))
+      held;
+    List.iter
+      (fun u -> if Hashtbl.mem forked_here u then finding ~tid (Join_before_fork u))
+      !early_joins;
+    base := !base + !seg + 1;
+    { w_tid = tid;
+      w_nsegs = !seg + 1;
+      w_forks = List.rev !forks;
+      w_joins = List.rev !joins;
+      w_bwaits = List.rev !bwaits;
+      w_shapes = List.rev !shapes;
+      w_asyncs = List.rev !asyncs;
+      w_scopes = List.rev !scopes;
+      w_join_targets = List.rev !join_targets }
   in
+  (* Walk in ascending tid order (node order); keep the program's
+     thread order for everything downstream. *)
+  let walk_of = Hashtbl.create 16 in
+  List.iter
+    (fun (th : Program.thread) ->
+      Hashtbl.replace walk_of th.Program.tid (walk_thread th))
+    (List.stable_sort
+       (fun (a : Program.thread) (b : Program.thread) ->
+         Tid.compare a.Program.tid b.Program.tid)
+       threads);
+  let walks =
+    List.map (fun (th : Program.thread) -> Hashtbl.find walk_of th.Program.tid) threads
+  in
+  (* Spawn multiplicity over both tiers (a duplicate spawn makes the
+     target's start ambiguous — lint and drop the fork edge / detach
+     the task in the DPST) and the set of async-spawned threads (the
+     "tasks"). *)
+  let fork_count = Hashtbl.create 16 in
+  let async_targets = Hashtbl.create 16 in
+  let spawned u =
+    Hashtbl.replace fork_count u
+      (1 + Option.value ~default:0 (Hashtbl.find_opt fork_count u))
+  in
+  List.iter
+    (fun w ->
+      List.iter (fun (u, _) -> spawned u) w.w_forks;
+      List.iter
+        (fun (u, _) ->
+          spawned u;
+          Hashtbl.replace async_targets u ())
+        w.w_asyncs)
+    walks;
+  Hashtbl.iter (fun u c -> if c > 1 then finding (Duplicate_fork u)) fork_count;
+  List.iter
+    (fun w ->
+      List.iter
+        (fun u ->
+          if Hashtbl.mem async_targets u then finding ~tid:w.w_tid (Join_of_task u))
+        w.w_join_targets)
+    walks;
   (* Deadlock-cycle lint: Tarjan SCCs over the lock-order graph.  Any
      SCC with two or more locks contains a cycle (no self-loops: a
      re-entrant acquisition adds no edge), and inside one SCC every
@@ -853,7 +927,7 @@ let analyze (p : Program.t) =
     { sk_segs =
         List.map (fun w -> (w.w_tid, w.w_nsegs)) walks
         |> List.sort (fun (a, _) (b, _) -> Tid.compare a b);
-      sk_edges = List.sort compare !edges }
+      sk_edges = List.sort compare_edge !edges }
   in
   (* ---- async-finish tier: structure lints + the DPST -------------- *)
   let has_tasks =
@@ -863,8 +937,6 @@ let analyze (p : Program.t) =
         || List.exists (fun sh -> sh = Dpst.Sp_open) w.w_shapes)
       walks
   in
-  let walk_of = Hashtbl.create 16 in
-  List.iter (fun w -> Hashtbl.replace walk_of w.w_tid w) walks;
   if has_tasks then begin
     (* fanout: statically enumerated sibling tasks per spawner *)
     List.iter
@@ -955,8 +1027,7 @@ let analyze (p : Program.t) =
            ~threads:(List.map (fun w -> (w.w_tid, w.w_nsegs, w.w_shapes)) walks))
     else None
   in
-  (* Rank the interned locksets like [compare] on their lock lists and
-     pack every context into the key of its read site. *)
+  (* Rank the interned locksets like [compare] on their lock lists. *)
   let nls = Hashtbl.length locksets in
   let lists = Array.make nls [] in
   Hashtbl.iter (fun ls i -> lists.(i) <- ls) locksets;
@@ -967,59 +1038,58 @@ let analyze (p : Program.t) =
   let l =
     labels_of_skeleton skeleton ~locks:(Array.map (fun i -> lists.(i)) by_rank)
   in
-  let ctx_key = Array.make (Hashtbl.length contexts) 0 in
-  Hashtbl.iter
-    (fun (t, s, ls) c ->
-      let v = l.l_base.(Hashtbl.find l.l_index t) + s in
-      ctx_key.(c) <- (v * 2 * nls) + rank.(ls))
-    contexts;
+  (* A variable's packed keys, ascending.  Walk keys arrive in node
+     order; only the write bit and the lockset rank inside one node can
+     be out of order, which an insertion sort fixes in place. *)
+  let keys_of a =
+    let n = a.a_n in
+    let keys = Array.make n 0 and counts = Array.make n 0 in
+    for j = 0 to n - 1 do
+      let wk = a.a_sites.(2 * j) in
+      let k =
+        ((((wk lsr 32) * 2) + (wk land 1)) * nls)
+        + rank.((wk lsr 1) land 0x7fff_ffff)
+      and c = a.a_sites.((2 * j) + 1) in
+      let i = ref j in
+      while !i > 0 && keys.(!i - 1) > k do
+        keys.(!i) <- keys.(!i - 1);
+        counts.(!i) <- counts.(!i - 1);
+        decr i
+      done;
+      keys.(!i) <- k;
+      counts.(!i) <- c
+    done;
+    (keys, counts)
+  in
   (* Fields of one object typically share a site signature (same
      loops, same locks), so classification is memoized on the sorted
-     key array. *)
+     key array; entries of one signature share its keys and
+     certificate. *)
   let memo = Ktbl.create 64 in
   let entries =
-    Itbl.fold (fun key (x, sites) acc -> (key, x, sites) :: acc) vars []
-    |> List.sort (fun (_, a, _) (_, b, _) -> Var.compare a b)
-    |> List.map (fun (key, x, tbl) ->
-           let n = Itbl.length tbl in
-           let unsorted = Array.make n 0 and counts = Array.make n 0 in
-           let j = ref 0 in
-           Itbl.iter
-             (fun site cell ->
-               unsorted.(!j) <- ctx_key.(site lsr 1) + ((site land 1) * nls);
-               counts.(!j) <- !cell;
-               incr j)
-             tbl;
-           let order = Array.init n Fun.id in
-           Array.stable_sort
-             (fun a b -> Int.compare unsorted.(a) unsorted.(b))
-             order;
-           let keys = Array.map (fun i -> unsorted.(i)) order in
-           Itbl.replace l.l_keys key keys;
-           let sites = ref [] and accesses = ref 0 in
-           for r = n - 1 downto 0 do
-             let k = keys.(r) and c = counts.(order.(r)) in
-             let v = l.l_node.(key_node l k) in
-             sites :=
-               { s_tid = v.n_tid; s_seg = v.n_seg; s_write = key_write l k;
-                 s_locks = l.l_locks.(key_rank l k); s_count = c }
-               :: !sites;
-             accesses := !accesses + c
-           done;
-           let verdict, cert =
+    Itbl.fold (fun key a acc -> (key, a) :: acc) vars []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (key, a) ->
+           let keys, counts = keys_of a in
+           let keys, verdict, cert =
              match Ktbl.find_opt memo keys with
-             | Some vc -> vc
+             | Some shared -> shared
              | None ->
                let verdict, cert = classify l sp keys in
-               let vc = (verdict, cert ()) in
-               Ktbl.replace memo keys vc;
-               vc
+               let shared = (keys, verdict, cert ()) in
+               Ktbl.replace memo keys shared;
+               shared
            in
-           { e_var = x;
-             e_verdict = verdict;
-             e_cert = cert;
-             e_sites = !sites;
-             e_accesses = !accesses })
+           let e =
+             { e_var = a.a_var;
+               e_verdict = verdict;
+               e_cert = cert;
+               e_keys = keys;
+               e_counts = counts;
+               e_accesses = Array.fold_left ( + ) 0 counts }
+           in
+           Itbl.replace l.l_entries key e;
+           e)
   in
   let certified_accesses =
     List.fold_left
@@ -1039,59 +1109,32 @@ let analyze (p : Program.t) =
 (* Queries.                                                           *)
 
 let verdict_of summary x =
-  match List.find_opt (fun e -> Var.equal e.e_var x) summary.entries with
+  match Itbl.find_opt summary.labels.l_entries (Var.key Var.Fine x) with
   | Some e -> e.e_verdict
   | None -> May_race
 
 let certified summary x = verdict_of summary x <> May_race
 
-let eliminator ~granularity summary =
-  match granularity with
-  | Var.Fine ->
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        if e.e_verdict <> May_race then
-          Hashtbl.replace tbl (Var.key Var.Fine e.e_var) ())
-      summary.entries;
-    fun x -> Hashtbl.mem tbl (Var.key Var.Fine x)
-  | Var.Coarse ->
-    (* A coarse detector runs one shadow location per object over the
-       union of all its fields' accesses, so per-field certificates do
-       not compose: re-classify the merged site set and certify the
-       object only if the union itself is race-free. *)
-    let l = summary.labels in
-    let by_obj = Hashtbl.create 32 in
-    List.iter
-      (fun e ->
-        let o = e.e_var.Var.obj in
-        let keys = Itbl.find l.l_keys (Var.key Var.Fine e.e_var) in
-        Hashtbl.replace by_obj o
-          (keys :: Option.value ~default:[] (Hashtbl.find_opt by_obj o)))
-      summary.entries;
-    let ok = Hashtbl.create 32 in
-    Hashtbl.iter
-      (fun o keys ->
-        let merged =
-          Array.of_list
-            (List.sort_uniq Int.compare (List.concat_map Array.to_list keys))
-        in
-        match classify l summary.sp merged with
-        | May_race, _ -> ()
-        | _ -> Hashtbl.replace ok o ())
-      by_obj;
-    fun x -> Hashtbl.mem ok x.Var.obj
+let sites summary e =
+  let l = summary.labels in
+  List.init (Array.length e.e_keys) (fun r ->
+      let k = e.e_keys.(r) in
+      let v = l.l_node.(key_node l k) in
+      { s_tid = v.n_tid;
+        s_seg = v.n_seg;
+        s_write = key_write l k;
+        s_locks = l.l_locks.(key_rank l k);
+        s_count = e.e_counts.(r) })
 
 let reaches summary ~barriers a b =
   let l = summary.labels in
   let id n =
-    match Hashtbl.find_opt l.l_index n.n_tid with
-    | Some i when n.n_seg >= 0 && n.n_seg < l.l_base.(i + 1) - l.l_base.(i) ->
-      l.l_base.(i) + n.n_seg
-    | _ ->
+    match node_id l n with
+    | -1 ->
       invalid_arg
         (Printf.sprintf "Static.reaches: t%d/s%d is not a skeleton node"
            n.n_tid n.n_seg)
+    | v -> v
   in
   reaches_id l (if barriers then l.l_full else l.l_fj) (id a) (id b)
 
@@ -1155,164 +1198,195 @@ let verdict_name = function
   | Barrier_phased -> "barrier_phased"
   | May_race -> "may_race"
 
-let check_certificate summary entry =
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let sites = entry.e_sites in
-  let segs_of = Hashtbl.create 16 in
-  List.iter
-    (fun (t, ns) -> Hashtbl.replace segs_of t ns)
-    summary.skeleton.sk_segs;
-  let node_ok n =
-    match Hashtbl.find_opt segs_of n.n_tid with
-    | Some ns -> n.n_seg >= 0 && n.n_seg < ns
-    | None -> false
+exception Reject of string
+
+let reject fmt = Format.kasprintf (fun s -> raise (Reject s)) fmt
+
+(* Replays a certificate for the sites [keys] (sorted packed keys)
+   against the skeleton's edges and the DPST.  An ordering certificate
+   is an epoch shape: every write node once, in an order where each
+   write is joined to the next by a path; every read node once, joined
+   from the write placed before it and to the write after it.  By
+   transitivity that orders every conflicting pair, so coverage is
+   checked by the shape alone, in O(nodes log nodes + hops). *)
+let replay summary verdict cert keys =
+  let l = summary.labels in
+  let tid_of k = l.l_node.(key_node l k).n_tid in
+  let glue a b = Tid.equal a.n_tid b.n_tid && a.n_seg <= b.n_seg in
+  let pp_node ppf n = Format.fprintf ppf "t%d/s%d" n.n_tid n.n_seg in
+  (* a path from [a] to [b]: skeleton edges glued by program order *)
+  let path ~barrier a b ch =
+    let cur =
+      Array.fold_left
+        (fun cur id ->
+          if id < 0 || id >= Array.length l.l_edges then
+            reject "edge %d is not a skeleton edge" id;
+          let e = l.l_edges.(id) in
+          if not (glue cur e.e_from) then
+            reject "hop from %a not reached by program order from %a" pp_node
+              e.e_from pp_node cur;
+          (match e.e_kind with
+          | Fork_edge | Join_edge -> ()
+          | Barrier_edge _ when barrier -> ()
+          | Barrier_edge _ | Po -> reject "illegal hop kind");
+          e.e_to)
+        a ch
+    in
+    if not (glue cur b) then
+      reject "chain from %a ends at %a, not at %a" pp_node a pp_node cur
+        pp_node b
   in
-  match (entry.e_cert, entry.e_verdict) with
-  | None, May_race -> Ok ()
-  | None, v -> err "verdict %s carries no certificate" (verdict_name v)
-  | Some _, May_race -> err "may_race carries a certificate"
-  | Some (Cert_thread_local t), Thread_local t' ->
-    if not (Tid.equal t t') then
-      err "certificate names thread %d, verdict names %d" t t'
-    else if List.for_all (fun s -> Tid.equal s.s_tid t) sites then Ok ()
-    else err "an access site lies outside thread %d" t
-  | Some (Cert_task_local t), Task_local t' ->
-    if not (Tid.equal t t') then
-      err "certificate names task %d, verdict names %d" t t'
-    else if not (List.for_all (fun s -> Tid.equal s.s_tid t) sites) then
-      err "an access site lies outside task %d" t
-    else (
+  let series d a b ch =
+    if Array.length ch > 0 then reject "sp_ordered certificate carries a chain";
+    if not (Dpst.series_check d ~before:(a.n_tid, a.n_seg) ~after:(b.n_tid, b.n_seg))
+    then reject "%a is not series-ordered before %a in the DPST" pp_node a pp_node b
+  in
+  (* the listed nodes must be exactly [expected] (ascending ids) *)
+  let same_nodes what listed expected =
+    let ids = Array.map (node_id l) listed in
+    Array.sort Int.compare ids;
+    if not (Array.length ids = Array.length expected && Array.for_all2 Int.equal ids expected)
+    then
+      reject "the certificate does not list exactly the %s nodes" what
+  in
+  let check_order ~adjacent o =
+    let ws, rs = split_nodes l keys in
+    same_nodes "write" o.o_writes ws;
+    same_nodes "read" (Array.map (fun k -> k.k_read) o.o_reads) rs;
+    let m = Array.length o.o_writes in
+    if Array.length o.o_steps <> max 0 (m - 1) then
+      reject "%d chain(s) between %d write(s)" (Array.length o.o_steps) m;
+    Array.iteri (fun i ch -> adjacent o.o_writes.(i) o.o_writes.(i + 1) ch) o.o_steps;
+    Array.iter
+      (fun k ->
+        if k.k_after < -1 || k.k_after >= m then
+          reject "read %a placed after write %d of %d" pp_node k.k_read k.k_after m;
+        if k.k_after >= 0 then adjacent o.o_writes.(k.k_after) k.k_read k.k_in
+        else if Array.length k.k_in > 0 then reject "chain into a read before every write";
+        if k.k_after + 1 < m then adjacent k.k_read o.o_writes.(k.k_after + 1) k.k_out
+        else if Array.length k.k_out > 0 then reject "chain out of a read after every write")
+      o.o_reads
+  in
+  let all_sites what p =
+    if not (Array.for_all p keys) then reject "an access site %s" what
+  in
+  try
+    match (cert, verdict) with
+    | None, May_race -> Ok ()
+    | None, v -> reject "verdict %s carries no certificate" (verdict_name v)
+    | Some _, May_race -> reject "may_race carries a certificate"
+    | Some (Cert_thread_local t), Thread_local t' ->
+      if not (Tid.equal t t') then
+        reject "certificate names thread %d, verdict names %d" t t';
+      all_sites (Printf.sprintf "lies outside thread %d" t) (fun k -> Tid.equal (tid_of k) t);
+      Ok ()
+    | Some (Cert_task_local t), Task_local t' ->
+      if not (Tid.equal t t') then
+        reject "certificate names task %d, verdict names %d" t t';
+      all_sites (Printf.sprintf "lies outside task %d" t) (fun k -> Tid.equal (tid_of k) t);
+      (match summary.sp with
+      | None -> reject "task_local certificate without a task tier"
+      | Some d -> if not (Dpst.is_task d t) then reject "thread %d is not an async-spawned task" t);
+      Ok ()
+    | Some Cert_read_only, Read_only ->
+      all_sites "writes under a read_only certificate" (fun k -> not (key_write l k));
+      Ok ()
+    | Some (Cert_lock_protected m), Lock_protected m' ->
+      if not (Lockid.equal m m') then reject "lock mismatch (%d vs %d)" m m';
+      all_sites (Printf.sprintf "does not hold lock %d" m) (fun k ->
+          List.mem m l.l_locks.(key_rank l k));
+      Ok ()
+    | Some (Cert_sp_ordered o), Sp_ordered -> (
       match summary.sp with
-      | None -> err "task_local certificate without a task tier"
+      | None -> reject "sp_ordered certificate without a task tier"
       | Some d ->
-        if Dpst.is_task d t then Ok ()
-        else err "thread %d is not an async-spawned task" t)
-  | Some (Cert_sp_ordered { c_sp_pairs }), Sp_ordered -> (
-    match summary.sp with
-    | None -> err "sp_ordered certificate without a task tier"
-    | Some d ->
-      let rec all_pairs = function
-        | [] -> Ok ()
-        | pr :: rest ->
-          if not (node_ok pr.sp_before && node_ok pr.sp_after) then
-            err "sp pair endpoint out of segment range"
-          else if
-            not
-              (Dpst.series_check d
-                 ~before:(pr.sp_before.n_tid, pr.sp_before.n_seg)
-                 ~after:(pr.sp_after.n_tid, pr.sp_after.n_seg))
-          then
-            err "t%d/s%d is not series-ordered before t%d/s%d in the DPST"
-              pr.sp_before.n_tid pr.sp_before.n_seg pr.sp_after.n_tid
-              pr.sp_after.n_seg
-          else all_pairs rest
-      in
-      match all_pairs c_sp_pairs with
-      | Error _ as e -> e
-      | Ok () ->
-        let ptbl = Hashtbl.create 16 in
-        List.iter
-          (fun pr -> Hashtbl.replace ptbl (pr.sp_before, pr.sp_after) ())
-          c_sp_pairs;
-        let missing = ref None in
-        List.iteri
-          (fun i a ->
-            List.iteri
-              (fun j b ->
-                if j > i && conflicting a b && !missing = None then begin
-                  let na = site_node a and nb = site_node b in
-                  if
-                    not
-                      (Hashtbl.mem ptbl (na, nb) || Hashtbl.mem ptbl (nb, na))
-                  then missing := Some (na, nb)
-                end)
-              sites)
-          sites;
-        (match !missing with
-        | Some (na, nb) ->
-          err "conflicting pair t%d/s%d - t%d/s%d not covered" na.n_tid
-            na.n_seg nb.n_tid nb.n_seg
-        | None -> Ok ()))
-  | Some Cert_read_only, Read_only ->
-    if List.exists (fun s -> s.s_write) sites then
-      err "write site under a read_only certificate"
-    else Ok ()
-  | Some (Cert_lock_protected m), Lock_protected m' ->
-    if not (Lockid.equal m m') then err "lock mismatch (%d vs %d)" m m'
-    else if List.for_all (fun s -> List.mem m s.s_locks) sites then Ok ()
-    else err "an access site does not hold lock %d" m
-  | Some (Cert_ordered { c_barrier; c_pairs }), (Fork_join_ordered | Barrier_phased)
-    ->
-    if entry.e_verdict = Fork_join_ordered && c_barrier then
-      err "fork_join_ordered certificate claims barrier edges"
-    else begin
-      let edge_set = Hashtbl.create 64 in
-      List.iter
-        (fun e -> Hashtbl.replace edge_set (e.e_from, e.e_to, e.e_kind) ())
-        summary.skeleton.sk_edges;
-      let ptbl = Hashtbl.create 16 in
-      List.iter
-        (fun op -> Hashtbl.replace ptbl (op.op_before, op.op_after) op)
-        c_pairs;
-      let glue a b = a.n_tid = b.n_tid && a.n_seg <= b.n_seg in
-      let check_pair op =
-        let rec chain cur = function
-          | [] ->
-            if glue cur op.op_after then Ok ()
-            else
-              err "chain ends at t%d/s%d, not at t%d/s%d" cur.n_tid cur.n_seg
-                op.op_after.n_tid op.op_after.n_seg
-          | h :: rest ->
-            if not (glue cur h.h_from) then
-              err "hop t%d/s%d not reached by program order" h.h_from.n_tid
-                h.h_from.n_seg
-            else if not (node_ok h.h_from && node_ok h.h_to) then
-              err "hop node out of segment range"
-            else if
-              match h.h_kind with
-              | Po -> true
-              | Barrier_edge _ -> not c_barrier
-              | Fork_edge | Join_edge -> false
-            then err "illegal hop kind"
-            else if not (Hashtbl.mem edge_set (h.h_from, h.h_to, h.h_kind))
-            then err "hop is not a skeleton edge"
-            else chain h.h_to rest
+        check_order ~adjacent:(series d) o;
+        Ok ())
+    | Some (Cert_ordered { c_barrier; c_order }), (Fork_join_ordered | Barrier_phased) ->
+      if verdict = Fork_join_ordered && c_barrier then
+        reject "fork_join_ordered certificate claims barrier edges";
+      check_order ~adjacent:(path ~barrier:c_barrier) c_order;
+      Ok ()
+    | Some _, v -> reject "certificate kind does not match verdict %s" (verdict_name v)
+  with Reject msg -> Error msg
+
+let check_certificate summary e = replay summary e.e_verdict e.e_cert e.e_keys
+
+(* Replays, memoized on the physical identity of the keys and the
+   certificate: entries of one site signature share both, so each
+   distinct certificate is replayed once.  Physically equal arrays have
+   equal contents, so hashing the contents is consistent. *)
+module Replayed = Hashtbl.Make (struct
+  type t = int array * certificate * verdict
+
+  let equal (k1, c1, v1) (k2, c2, v2) = k1 == k2 && c1 == c2 && v1 = v2
+  let hash (k, _, _) = Hashtbl.hash k
+end)
+
+let eliminator ~granularity summary =
+  let memo = Replayed.create 64 in
+  let replayed verdict cert keys =
+    match cert with
+    | None -> false
+    | Some c -> (
+      match Replayed.find_opt memo (keys, c, verdict) with
+      | Some ok -> ok
+      | None ->
+        let ok = Result.is_ok (replay summary verdict cert keys) in
+        Replayed.add memo (keys, c, verdict) ok;
+        ok)
+  in
+  match granularity with
+  | Var.Fine ->
+    (* a two-level obj -> field byte table, shaped like Shadow's *)
+    let pass =
+      List.filter_map
+        (fun e -> if replayed e.e_verdict e.e_cert e.e_keys then Some e.e_var else None)
+        summary.entries
+    in
+    let objs = List.fold_left (fun n (x : Var.t) -> max n (x.obj + 1)) 0 pass in
+    let width = Array.make objs 0 in
+    List.iter (fun (x : Var.t) -> width.(x.obj) <- max width.(x.obj) (x.field + 1)) pass;
+    let bits = Array.map (fun w -> Bytes.make w '\000') width in
+    List.iter (fun (x : Var.t) -> Bytes.set bits.(x.obj) x.field '\001') pass;
+    fun (x : Var.t) ->
+      x.obj >= 0 && x.obj < objs
+      && x.field >= 0
+      && x.field < Bytes.length bits.(x.obj)
+      && Bytes.get bits.(x.obj) x.field <> '\000'
+  | Var.Coarse ->
+    (* A coarse detector runs one shadow location per object over the
+       union of all its fields' accesses, so per-field certificates do
+       not compose: re-classify the merged site set, and certify the
+       object only if the union's own certificate replays. *)
+    let by_obj = Hashtbl.create 32 in
+    List.iter
+      (fun e ->
+        let o = e.e_var.Var.obj in
+        Hashtbl.replace by_obj o
+          (e :: Option.value ~default:[] (Hashtbl.find_opt by_obj o)))
+      summary.entries;
+    let pass = ref [] in
+    Hashtbl.iter
+      (fun o es ->
+        let ok =
+          match es with
+          | [ e ] -> replayed e.e_verdict e.e_cert e.e_keys
+          | _ ->
+            let merged =
+              Array.of_list
+                (List.sort_uniq Int.compare
+                   (List.concat_map (fun e -> Array.to_list e.e_keys) es))
+            in
+            let verdict, cert = classify summary.labels summary.sp merged in
+            replayed verdict (cert ()) merged
         in
-        if not (node_ok op.op_before && node_ok op.op_after) then
-          err "pair endpoint out of segment range"
-        else chain op.op_before op.op_hops
-      in
-      let rec all_pairs = function
-        | [] -> Ok ()
-        | op :: rest -> (
-          match check_pair op with Ok () -> all_pairs rest | Error _ as e -> e)
-      in
-      match all_pairs c_pairs with
-      | Error _ as e -> e
-      | Ok () ->
-        (* coverage: every conflicting cross-thread site pair must be
-           witnessed *)
-        let missing = ref None in
-        List.iteri
-          (fun i a ->
-            List.iteri
-              (fun j b ->
-                if j > i && conflicting a b && !missing = None then begin
-                  let na = site_node a and nb = site_node b in
-                  if
-                    not
-                      (Hashtbl.mem ptbl (na, nb) || Hashtbl.mem ptbl (nb, na))
-                  then missing := Some (na, nb)
-                end)
-              sites)
-          sites;
-        (match !missing with
-        | Some (na, nb) ->
-          err "conflicting pair t%d/s%d - t%d/s%d not covered" na.n_tid
-            na.n_seg nb.n_tid nb.n_seg
-        | None -> Ok ())
-    end
-  | Some _, v -> err "certificate kind does not match verdict %s" (verdict_name v)
+        if ok then pass := o :: !pass)
+      by_obj;
+    let objs = List.fold_left (fun n o -> max n (o + 1)) 0 !pass in
+    let bits = Bytes.make objs '\000' in
+    List.iter (fun o -> Bytes.set bits o '\001') !pass;
+    fun (x : Var.t) -> x.obj >= 0 && x.obj < objs && Bytes.get bits x.obj <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                         *)
@@ -1431,7 +1505,7 @@ let pp_report ppf s =
             (Format.pp_print_list
                ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
                pp_site)
-            e.e_sites
+            (sites s e)
         end)
       racy;
     if List.length racy > 20 then

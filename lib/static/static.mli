@@ -6,10 +6,10 @@
     arrays can prove — before a single event is scheduled — that many
     variables cannot race under {e any} interleaving the {!Scheduler}
     can produce.  Each proof is a machine-checkable {!certificate}; the
-    dynamic drivers use {!eliminator} to skip the certified accesses
-    with zero coverage loss (contrast Section 5.2's dynamic prefilters,
-    which footnote 6 concedes may drop an access later involved in a
-    race).
+    dynamic drivers use {!eliminator}, which replays the certificates
+    before it trusts them, to skip the certified accesses with zero
+    coverage loss (contrast Section 5.2's dynamic prefilters, which
+    footnote 6 concedes may drop an access later involved in a race).
 
     {2 Abstract domain}
 
@@ -35,9 +35,12 @@
     program point (re-entrant, like the Scheduler) and collapses the
     accesses of each variable into {!site}s keyed by
     [(tid, segment, kind, lockset)].  Locksets are interned when they
-    change, and a site is one packed int, so the walk counts an access
-    with at most two int-keyed table lookups (none when it repeats the
-    previous access's variable and site).
+    change, and a site is one packed int.  Threads are walked in
+    ascending tid order, so a variable's sites arrive in node order and
+    a repeated site sits in its node's run at the end: the walk counts
+    an access with one int-keyed table lookup (none when it repeats the
+    previous access's variable and site), and one walk over the
+    statements is the only traversal of the bodies.
 
     {2 Reachability by vector clocks}
 
@@ -55,10 +58,27 @@
     these raisers for [a]'s thread back from [b] to the first node of
     [a]'s thread at or after [a]; a raise needs a strict increase, so
     the chains are loop-free.  Hop chains are witnesses, not shortest
-    paths: any chain {!check_certificate} accepts is valid.  Each
-    variable's sites collapse to nodes before pairing, the verdict is
-    decided by clock comparisons, and only the emitted verdict's
-    certificate is built.
+    paths: any chain {!check_certificate} accepts is valid.
+
+    {2 Epoch-shaped certificates}
+
+    FastTrack's insight (Section 3: on a race-free variable the writes
+    are totally ordered, so one epoch stands in for a vector clock)
+    applied to proofs.  A variable's sites collapse to write nodes and
+    read-only nodes.  The write nodes are sorted with "[a] reaches [b]"
+    as the comparator and each consecutive pair must reach; each read
+    is placed by binary search after the last write reaching it and
+    must reach the next write.  When every check passes, transitivity
+    orders every conflicting pair; when every conflicting pair is
+    ordered, so is every pair of these nodes (same-thread pairs by
+    program order), the comparator is a total preorder and every check
+    passes — so the shape decides exactly the verdicts the pairwise
+    definition gives, cyclic skeletons included (a cycle's nodes reach
+    each other, so any order among them passes).  The certificate
+    ({!order}) is that shape with a chain per adjacency: at most
+    [2 * nodes] chains instead of one per conflicting pair, cheap
+    enough that {!eliminator} replays every certificate before it
+    skips an access.
 
     {2 Async-finish tier}
 
@@ -68,9 +88,10 @@
     segment.  The tree answers may-happen-in-parallel in O(1)
     ({!mhp}), enabling two task-tier verdicts — [Task_local] (the one
     accessing thread is an async-spawned task) and [Sp_ordered] (every
-    conflicting site pair is series-ordered by the tree) — whose
-    certificates {!check_certificate} replays with an independent
-    parent-walk decision procedure ({!Dpst.series_check}).  Four
+    conflicting site pair is series-ordered by the tree, certified by
+    the epoch shape under the series order) — whose certificates
+    {!check_certificate} replays with an independent parent-walk
+    decision procedure ({!Dpst.series_check}).  Four
     structure lints ride along: escaped asyncs, finish scopes that
     provably never close, explicit joins of tasks, and unbounded task
     fanout. *)
@@ -116,38 +137,53 @@ type verdict =
       (** ordered, but some pair needs a barrier edge *)
   | May_race                  (** no proof found — instrument it *)
 
-(** One inter-thread step of an ordering proof.  Consecutive hops are
-    glued by program order: [h_to] and the next hop's [h_from] share a
+type chain = int array
+(** The inter-thread edges of a witness path, as indices into the
+    skeleton's [sk_edges] in path order.  Consecutive edges are glued by
+    program order: an edge's [e_to] and the next edge's [e_from] share a
     tid with non-decreasing segments. *)
-type hop = { h_from : node; h_to : node; h_kind : edge_kind }
 
-type ordered_pair = {
-  op_before : node;
-  op_after : node;
-  op_hops : hop list;  (** inter-thread edges of the witness path *)
+type link = {
+  k_read : node;  (** a node with read sites and no write site *)
+  k_after : int;
+      (** index in [o_writes] of the write ordered just before it; -1
+          if it precedes every write *)
+  k_in : chain;   (** from that write to [k_read] ([[||]] if none) *)
+  k_out : chain;  (** from [k_read] to the next write ([[||]] if none) *)
 }
 
-type sp_pair = { sp_before : node; sp_after : node }
-(** A conflicting site pair with [sp_before] series-ordered first in
-    the DPST's left-to-right order. *)
+type order = {
+  o_writes : node array;
+      (** every write node (a node with some write site) once, in an
+          order where each reaches the next *)
+  o_steps : chain array;  (** [o_steps.(i)]: [o_writes.(i)] to [o_writes.(i + 1)] *)
+  o_reads : link array;   (** every read-only node once *)
+}
+(** The epoch shape of an ordering proof: the writes of a race-free
+    variable are totally ordered, and each read sits between the write
+    before it and the write after it, so transitivity orders every
+    conflicting pair with at most [2 * nodes] chains. *)
 
 type certificate =
   | Cert_thread_local of Tid.t
   | Cert_task_local of Tid.t
   | Cert_read_only
   | Cert_lock_protected of Lockid.t
-  | Cert_sp_ordered of { c_sp_pairs : sp_pair list }
-      (** one series-ordered witness per conflicting cross-thread site
-          pair, replayed against the DPST *)
-  | Cert_ordered of { c_barrier : bool; c_pairs : ordered_pair list }
-      (** one witness path per conflicting cross-thread site pair;
-          [c_barrier] says whether barrier edges were needed *)
+  | Cert_sp_ordered of order
+      (** the epoch shape under the DPST's series order; its chains are
+          empty, each adjacency is replayed by {!Dpst.series_check} *)
+  | Cert_ordered of { c_barrier : bool; c_order : order }
+      (** the epoch shape over skeleton paths; [c_barrier] says whether
+          barrier edges were needed *)
 
 type entry = {
   e_var : Var.t;
   e_verdict : verdict;
   e_cert : certificate option;  (** [None] iff [May_race] *)
-  e_sites : site list;
+  e_keys : int array;
+      (** the variable's sites, packed and ascending (the order of
+          [List.sort compare] on {!site}s); read them through {!sites} *)
+  e_counts : int array;  (** accesses per site, parallel to [e_keys] *)
   e_accesses : int;
 }
 
@@ -192,8 +228,8 @@ type finding = {
 
 type labels
 (** The skeleton labelled with vector clocks (with and without barrier
-    edges) and the variables' interned site keys: built once by
-    {!analyze}, read by {!reaches} and {!eliminator}. *)
+    edges), the decoding of site keys and an index of the entries by
+    variable: built once by {!analyze}. *)
 
 type summary = {
   threads : int;
@@ -217,18 +253,27 @@ val analyze : Program.t -> summary
 (** {2 Queries} *)
 
 val verdict_of : summary -> Var.t -> verdict
-(** [May_race] for variables the program never touches. *)
+(** O(1).  [May_race] for variables the program never touches. *)
 
 val certified : summary -> Var.t -> bool
 (** True iff the verdict is not [May_race]. *)
 
+val sites : summary -> entry -> site list
+(** The entry's sites, decoded from its packed keys, in key order. *)
+
 val eliminator : granularity:Var.granularity -> summary -> Var.t -> bool
-(** The predicate the dynamic drivers skip accesses with.  Under
-    [Fine] a variable passes iff certified.  Under [Coarse] (shared
+(** The predicate the dynamic drivers skip accesses with.  Before it
+    certifies anything it replays certificates with
+    {!check_certificate}'s checker, once per distinct certificate, and
+    it certifies no variable whose replay fails, so a skip rests on the
+    checker and {!Dpst.series_check} alone.  Under [Fine] a variable
+    passes iff its certificate replays; the answer comes from a
+    two-level object/field byte table.  Under [Coarse] (shared
     per-object shadow state) a variable passes only if the {e merged}
-    site set of its whole object is itself certified — per-field
-    certificates do not compose (e.g. an array with one thread-local
-    field per thread is racy to a coarse detector). *)
+    site set of its whole object is classified anew and that
+    certificate replays — per-field certificates do not compose (e.g.
+    an array with one thread-local field per thread is racy to a coarse
+    detector). *)
 
 val reaches : summary -> barriers:bool -> node -> node -> bool
 (** [reaches s ~barriers a b]: does a path lead from [a] to [b] in the
@@ -255,9 +300,12 @@ val access_segments : Program.t -> (Tid.t * int array) list
 val check_certificate : summary -> entry -> (unit, string) result
 (** Replays a certificate against the entry's sites and the skeleton:
     thread-locality/read-onlyness/lock membership are re-verified site
-    by site; ordering certificates must cover {e every} conflicting
-    cross-thread site pair with a hop chain whose edges all belong to
-    the skeleton and whose hops are glued by program order. *)
+    by site.  An ordering certificate must list every write node and
+    every read-only node exactly once (coverage by shape), and every
+    adjacency of the shape — consecutive writes, and each read with its
+    neighbours — must hold: a chain of skeleton edges glued by program
+    order, or a series order replayed on the DPST.  Linear in the
+    certificate up to sorting its nodes. *)
 
 (** {2 Rendering} *)
 

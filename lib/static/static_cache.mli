@@ -14,7 +14,7 @@
     if a workload generator misbehaves and produces different programs
     for the same [(workload, scale)] pair (e.g. one reading ambient
     state the name does not capture).  What a hit saves is the
-    analysis itself (skeleton BFS, classification, DPST labeling),
+    analysis itself (skeleton labels, classification, DPST labeling),
     which dwarfs program construction. *)
 
 val analyze :

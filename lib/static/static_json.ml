@@ -1,6 +1,5 @@
 open Static
 
-let max_pairs = 8
 let max_sites = 16
 
 let node n =
@@ -15,9 +14,9 @@ let edge_kind_fields = function
       ("barrier", Obs_json.int barrier);
       ("round", Obs_json.int round) ]
 
-let hop h =
+let edge e =
   Obs_json.obj
-    ([ ("from", node h.h_from); ("to", node h.h_to) ] @ edge_kind_fields h.h_kind)
+    ([ ("from", node e.e_from); ("to", node e.e_to) ] @ edge_kind_fields e.e_kind)
 
 let take n l =
   let rec go n = function
@@ -27,14 +26,27 @@ let take n l =
   in
   go n l
 
-let ordered_pair op =
-  Obs_json.obj
-    [ ("before", node op.op_before);
-      ("after", node op.op_after);
-      ("hops", Obs_json.arr (List.map hop op.op_hops)) ]
-
-let sp_pair pr =
-  Obs_json.obj [ ("before", node pr.sp_before); ("after", node pr.sp_after) ]
+(* The epoch shape in full: the write sequence, the chain between each
+   consecutive pair, and each read's place in the sequence with its two
+   chains (none under the DPST, which replays series order itself).  A
+   chain is a list of indices into the document's [program.edges].
+   O(nodes) per variable. *)
+let order ~chains o =
+  let chain ch = Obs_json.arr (Array.to_list (Array.map Obs_json.int ch)) in
+  [ ("writes", Obs_json.arr (Array.to_list (Array.map node o.o_writes))) ]
+  @ (if chains then [ ("steps", Obs_json.arr (Array.to_list (Array.map chain o.o_steps))) ]
+     else [])
+  @ [ ( "reads",
+        Obs_json.arr
+          (Array.to_list
+             (Array.map
+                (fun k ->
+                  Obs_json.obj
+                    ([ ("node", node k.k_read); ("after", Obs_json.int k.k_after) ]
+                    @
+                    if chains then [ ("in", chain k.k_in); ("out", chain k.k_out) ]
+                    else []))
+                o.o_reads)) ) ]
 
 let certificate = function
   | Cert_thread_local t ->
@@ -43,27 +55,16 @@ let certificate = function
   | Cert_task_local t ->
     Obs_json.obj
       [ ("kind", Obs_json.str "task_local"); ("tid", Obs_json.int t) ]
-  | Cert_sp_ordered { c_sp_pairs } ->
-    Obs_json.obj
-      [ ("kind", Obs_json.str "sp_ordered");
-        ("pair_count", Obs_json.int (List.length c_sp_pairs));
-        ("pairs", Obs_json.arr (List.map sp_pair (take max_pairs c_sp_pairs)))
-      ]
+  | Cert_sp_ordered o ->
+    Obs_json.obj (("kind", Obs_json.str "sp_ordered") :: order ~chains:false o)
   | Cert_read_only -> Obs_json.obj [ ("kind", Obs_json.str "read_only") ]
   | Cert_lock_protected m ->
     Obs_json.obj
       [ ("kind", Obs_json.str "lock_protected"); ("lock", Obs_json.int m) ]
-  | Cert_ordered { c_barrier; c_pairs } ->
-    (* the full pair list can be quadratic in sites; the document
-       carries a bounded sample plus the total (the in-memory
-       certificate stays complete — [Static.check_certificate] sees
-       all of it) *)
+  | Cert_ordered { c_barrier; c_order } ->
     Obs_json.obj
-      [ ("kind", Obs_json.str "ordered");
-        ("barrier", Obs_json.bool c_barrier);
-        ("pair_count", Obs_json.int (List.length c_pairs));
-        ("pairs", Obs_json.arr (List.map ordered_pair (take max_pairs c_pairs)))
-      ]
+      ([ ("kind", Obs_json.str "ordered"); ("barrier", Obs_json.bool c_barrier) ]
+      @ order ~chains:true c_order)
 
 let site s =
   Obs_json.obj
@@ -73,15 +74,15 @@ let site s =
       ("locks", Obs_json.arr (List.map Obs_json.int s.s_locks));
       ("count", Obs_json.int s.s_count) ]
 
-let entry e =
+let entry s e =
   Obs_json.obj
     [ ("var", Obs_json.str (Var.to_string e.e_var));
       ("obj", Obs_json.int e.e_var.Var.obj);
       ("field", Obs_json.int e.e_var.Var.field);
       ("verdict", Obs_json.str (verdict_name e.e_verdict));
       ("accesses", Obs_json.int e.e_accesses);
-      ("site_count", Obs_json.int (List.length e.e_sites));
-      ("sites", Obs_json.arr (List.map site (take max_sites e.e_sites)));
+      ("site_count", Obs_json.int (Array.length e.e_keys));
+      ("sites", Obs_json.arr (List.map site (take max_sites (sites s e))));
       ( "certificate",
         match e.e_cert with None -> Obs_json.null | Some c -> certificate c )
     ]
@@ -150,14 +151,14 @@ let document ?(source = "") s =
     List.fold_left (fun acc (_, ns) -> acc + ns) 0 s.skeleton.sk_segs
   in
   Obs_json.obj
-    [ ("schema", Obs_json.str "ftrace.static/1");
+    [ ("schema", Obs_json.str "ftrace.static/2");
       ("source", Obs_json.str source);
       ( "program",
         Obs_json.obj
           ([ ("threads", Obs_json.int s.threads);
              ("segments", Obs_json.int segments);
-             ("skeleton_edges", Obs_json.int (List.length s.skeleton.sk_edges))
-           ]
+             ("skeleton_edges", Obs_json.int (List.length s.skeleton.sk_edges));
+             ("edges", Obs_json.arr (List.map edge s.skeleton.sk_edges)) ]
           @
           match s.sp with
           | None -> []
@@ -175,7 +176,7 @@ let document ?(source = "") s =
             ("elimination_ratio", Obs_json.float (elimination_ratio s));
             ("verdicts", verdict_counts s.entries) ] );
       ("findings", Obs_json.arr (List.map finding s.findings));
-      ("variables", Obs_json.arr (List.map entry s.entries)) ]
+      ("variables", Obs_json.arr (List.map (entry s) s.entries)) ]
 
 let to_string ?source s = Obs_json.to_string (document ?source s)
 

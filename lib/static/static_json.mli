@@ -1,5 +1,8 @@
-(** The ["ftrace.static/1"] JSON document for [ftrace lint --json]:
-    per-variable verdicts with (bounded) certificates, lint findings,
+(** The ["ftrace.static/2"] JSON document for [ftrace lint --json]:
+    per-variable verdicts with their certificates (an ordering
+    certificate in full: the write sequence, the chain between each
+    consecutive pair of writes, and each read's place with its two
+    chains), a bounded sample of each variable's sites, lint findings,
     and the elimination ratio. *)
 
 val document : ?source:string -> Static.summary -> Obs_json.t

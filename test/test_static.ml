@@ -655,6 +655,171 @@ let test_reaches_cyclic () =
     "fork_join_ordered"
     (Static.verdict_name (Static.verdict_of (Static.analyze mutual) x0))
 
+(* ------------------------------------------------------------------ *)
+(* epoch-shaped certificates                                          *)
+
+(* The epoch shape holds at most two chains per node: one per
+   consecutive pair of writes and two per read. *)
+let node_count s e =
+  List.sort_uniq compare
+    (List.map (fun (st : Static.site) -> (st.s_tid, st.s_seg)) (Static.sites s e))
+  |> List.length
+
+let test_certificate_size () =
+  List.iter
+    (fun (w : Workload.t) ->
+      List.iter
+        (fun scale ->
+          let s = Static.analyze (w.program ~scale) in
+          List.iter
+            (fun (e : Static.entry) ->
+              match e.e_cert with
+              | Some (Static.Cert_ordered { c_order = o; _ } | Static.Cert_sp_ordered o) ->
+                let chains = Array.length o.o_steps + (2 * Array.length o.o_reads)
+                and nodes = node_count s e in
+                if chains > 2 * nodes then
+                  Alcotest.failf "%s@%d/%s: %d chains over %d nodes" w.name
+                    scale (Var.to_string e.e_var) chains nodes
+              | _ -> ())
+            s.Static.entries)
+        [ 1; 2 ])
+    Workloads.all
+
+(* The first entry (over the barrier workloads) with a graph-ordered
+   certificate whose order satisfies [want]. *)
+let find_ordered want =
+  List.find_map
+    (fun name ->
+      let w = Option.get (Workloads.find name) in
+      let s = summary_of w in
+      List.find_map
+        (fun (e : Static.entry) ->
+          match e.e_cert with
+          | Some (Static.Cert_ordered { c_barrier; c_order }) when want c_order ->
+            Some (s, e, c_barrier, c_order)
+          | _ -> None)
+        s.Static.entries)
+    [ "moldyn"; "sor"; "lufact"; "sparse"; "raytracer"; "crypt"; "series" ]
+  |> function
+  | Some found -> found
+  | None -> Alcotest.fail "no ordered certificate of the wanted shape"
+
+let replays s (e : Static.entry) c_barrier c_order =
+  Static.check_certificate s
+    { e with e_cert = Some (Static.Cert_ordered { c_barrier; c_order }) }
+
+let must_reject what s e c_barrier c_order =
+  match replays s e c_barrier c_order with
+  | Ok () -> Alcotest.failf "%s: mutated certificate replays" what
+  | Error _ -> ()
+
+(* Mutations of a valid certificate: each breaks the epoch shape, and
+   replay must reject it. *)
+let test_certificate_mutations () =
+  (* a read's link to the next write: drop its chain *)
+  let linked (o : Static.order) =
+    Array.exists (fun (k : Static.link) -> Array.length k.k_out > 0) o.o_reads
+  in
+  let s, e, b, o = find_ordered linked in
+  (match replays s e b o with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "unmutated certificate rejected: %s" msg);
+  let dropped = ref false in
+  let o_reads =
+    Array.map
+      (fun (k : Static.link) ->
+        if (not !dropped) && Array.length k.k_out > 0 then begin
+          dropped := true;
+          { k with k_out = [||] }
+        end
+        else k)
+      o.o_reads
+  in
+  must_reject "read without its next-write link" s e b { o with o_reads };
+  (* the same read left out of the shape altogether *)
+  must_reject "read link removed" s e b
+    { o with o_reads = Array.sub o.o_reads 1 (Array.length o.o_reads - 1) };
+  (* two consecutive writes of different threads, swapped *)
+  let cross (o : Static.order) =
+    let ws = o.o_writes in
+    let rec go i =
+      i + 1 < Array.length ws && (ws.(i).n_tid <> ws.(i + 1).n_tid || go (i + 1))
+    in
+    go 0
+  in
+  let s, e, b, o = find_ordered cross in
+  let ws = Array.copy o.o_writes in
+  let i =
+    let rec go i = if ws.(i).n_tid <> ws.(i + 1).n_tid then i else go (i + 1) in
+    go 0
+  in
+  let wi = ws.(i) in
+  ws.(i) <- ws.(i + 1);
+  ws.(i + 1) <- wi;
+  must_reject "consecutive writes swapped" s e b { o with o_writes = ws };
+  (* one write left out of the sequence (with its step), reads kept *)
+  let s, e, b, o = find_ordered (fun o -> Array.length o.o_writes >= 2) in
+  let m = Array.length o.o_writes in
+  (match
+     replays s e b
+       { o with
+         o_writes = Array.sub o.o_writes 0 (m - 1);
+         o_steps = Array.sub o.o_steps 0 (m - 2) }
+   with
+  | Ok () -> Alcotest.fail "a write left out: mutated certificate replays"
+  | Error msg ->
+    if not (Astring.String.is_infix ~affix:"write nodes" msg) then
+      Alcotest.failf "a write left out: rejected for another reason: %s" msg)
+
+(* The eliminator replays before it trusts: an entry whose certificate
+   was tampered with after the analysis is not certified, while the
+   untouched summary certifies it. *)
+let test_tampered_not_eliminated () =
+  let s, e, b, o =
+    find_ordered (fun o ->
+        Array.exists (fun (k : Static.link) -> Array.length k.k_out > 0) o.o_reads)
+  in
+  let o_reads =
+    Array.map (fun (k : Static.link) -> { k with k_out = [||] }) o.o_reads
+  in
+  let tamper cert =
+    { s with
+      Static.entries =
+        List.map
+          (fun (x : Static.entry) ->
+            if Var.equal x.e_var e.e_var then { x with e_cert = Some cert } else x)
+          s.Static.entries }
+  in
+  let skip = Static.eliminator ~granularity:Var.Fine s in
+  Alcotest.(check bool) "untouched: certified" true (skip e.e_var);
+  let bad = tamper (Static.Cert_ordered { c_barrier = b; c_order = { o with o_reads } }) in
+  Alcotest.(check bool) "tampered chain: not certified" false
+    (Static.eliminator ~granularity:Var.Fine bad e.e_var);
+  (* a claim of the wrong kind, consistent with a forged verdict *)
+  let t = (List.hd (Static.sites s e)).s_tid + 1 in
+  let forged =
+    { s with
+      Static.entries =
+        List.map
+          (fun (x : Static.entry) ->
+            if Var.equal x.e_var e.e_var then
+              { x with e_verdict = Static.Thread_local t;
+                       e_cert = Some (Static.Cert_thread_local t) }
+            else x)
+          s.Static.entries }
+  in
+  Alcotest.(check bool) "forged thread-local: not certified" false
+    (Static.eliminator ~granularity:Var.Fine forged e.e_var);
+  (* the other variables keep their answers *)
+  List.iter
+    (fun (x : Static.entry) ->
+      if not (Var.equal x.e_var e.e_var) then
+        Alcotest.(check bool)
+          (Var.to_string x.e_var ^ ": unaffected")
+          (skip x.e_var)
+          (Static.eliminator ~granularity:Var.Fine bad x.e_var))
+    s.Static.entries
+
 (* MD5 of each workload's "var:verdict" lines (Static.pp_verdict),
    recorded when reachability was still a per-source BFS.  The
    verdicts do not depend on the scale. *)
@@ -726,17 +891,29 @@ let words_per_access program =
   Gc.minor ();
   (words () -. w0) /. float_of_int s.Static.total_accesses
 
-let test_scaling_guard () =
+let moldyn_words () =
   let w =
     match Workloads.find "moldyn" with
     | Some w -> w
     | None -> Alcotest.fail "moldyn workload missing"
   in
   let p1 = w.Workload.program ~scale:1 and p8 = w.Workload.program ~scale:8 in
-  let r1 = words_per_access p1 and r8 = words_per_access p8 in
+  (words_per_access p1, words_per_access p8)
+
+let test_scaling_guard () =
+  let r1, r8 = moldyn_words () in
   if r8 > 2.5 *. r1 then
     Alcotest.failf
       "moldyn: %.1f words/access at scale 8 vs %.1f at scale 1 (> 2.5x)" r8 r1
+
+(* With epoch-shaped certificates nothing per variable grows faster
+   than its sites: words per access stay flat (8.3 -> 5.1 when this
+   bound was set; quadratic certificates read 11.0 -> 17.0). *)
+let test_scaling_flat () =
+  let r1, r8 = moldyn_words () in
+  if r8 > 1.2 *. r1 then
+    Alcotest.failf
+      "moldyn: %.1f words/access at scale 8 vs %.1f at scale 1 (> 1.2x)" r8 r1
 
 let suite =
   ( "static",
@@ -768,4 +945,12 @@ let suite =
       Alcotest.test_case "verdict golden at scales 1, 2, 4" `Slow
         test_verdict_golden;
       Alcotest.test_case "analysis allocation stays near-linear" `Quick
-        test_scaling_guard ] )
+        test_scaling_guard;
+      Alcotest.test_case "analysis allocation per access stays flat" `Quick
+        test_scaling_flat;
+      Alcotest.test_case "certificates hold at most 2 chains per node"
+        `Quick test_certificate_size;
+      Alcotest.test_case "mutated certificates fail replay" `Quick
+        test_certificate_mutations;
+      Alcotest.test_case "tampered certificates are not eliminated" `Quick
+        test_tampered_not_eliminated ] )

@@ -116,6 +116,82 @@ let test_task_verdicts () =
       | Some _ -> Alcotest.failf "%s: unexpected DPST" w.name)
     Workloads.table1
 
+(* Sp_ordered certificates take the epoch shape under the DPST's series
+   order: every one replays, and breaking the shape — two consecutive
+   writes swapped, a write left out, a read placed after the last write
+   though a write follows it — fails replay. *)
+let test_sp_certificate_mutations () =
+  (* writes in both phases of thread 0 and in task 1, a read in task 2 *)
+  let x = Var.make ~obj:920 ~field:0 in
+  let phased =
+    Program.make
+      [ { Program.tid = 0;
+          body =
+            [ Program.Write x; Program.Finish [ Program.Async 1 ];
+              Program.Write x; Program.Finish [ Program.Async 2 ];
+              Program.Write x ] };
+        { Program.tid = 1; body = [ Program.Read x; Program.Write x ] };
+        { Program.tid = 2; body = [ Program.Read x ] } ]
+  in
+  let found =
+    List.concat_map
+      (fun s ->
+        List.filter_map
+          (fun (e : Static.entry) ->
+            match e.Static.e_cert with
+            | Some (Static.Cert_sp_ordered o) -> Some (s, e, o)
+            | _ -> None)
+          s.Static.entries)
+      (Static.analyze phased :: List.map summary_of Workloads.tasks)
+  in
+  let replays s (e : Static.entry) o =
+    Result.is_ok
+      (Static.check_certificate s
+         { e with Static.e_cert = Some (Static.Cert_sp_ordered o) })
+  in
+  List.iter
+    (fun (s, e, o) ->
+      if not (replays s e o) then
+        Alcotest.failf "%s: sp certificate rejected" (Var.to_string e.Static.e_var))
+    found;
+  let s, e, o =
+    match
+      List.find_opt (fun (_, _, o) -> Array.length o.Static.o_writes >= 2) found
+    with
+    | Some f -> f
+    | None -> Alcotest.fail "no sp certificate with two writes"
+  in
+  let ws = Array.copy o.Static.o_writes in
+  let w0 = ws.(0) in
+  ws.(0) <- ws.(1);
+  ws.(1) <- w0;
+  Alcotest.(check bool) "swapped writes rejected" false
+    (replays s e { o with Static.o_writes = ws });
+  let m = Array.length o.Static.o_writes in
+  Alcotest.(check bool) "missing write rejected" false
+    (replays s e
+       { o with
+         Static.o_writes = Array.sub o.Static.o_writes 1 (m - 1);
+         o_steps = Array.sub o.Static.o_steps 1 (m - 2) });
+  match
+    List.find_map
+      (fun (s, e, o) ->
+        let m = Array.length o.Static.o_writes in
+        Array.find_opt (fun (k : Static.link) -> k.Static.k_after + 1 < m) o.Static.o_reads
+        |> Option.map (fun k -> (s, e, o, k)))
+      found
+  with
+  | None -> Alcotest.fail "no sp certificate with a read before a write"
+  | Some (s, e, o, k) ->
+    let m = Array.length o.Static.o_writes in
+    let o_reads =
+      Array.map
+        (fun (x : Static.link) -> if x == k then { x with Static.k_after = m - 1 } else x)
+        o.Static.o_reads
+    in
+    Alcotest.(check bool) "read moved past its next write rejected" false
+      (replays s e { o with Static.o_reads })
+
 (* ------------------------------------------------------------------ *)
 (* O(1) MHP queries                                                   *)
 
@@ -566,6 +642,8 @@ let suite =
         test_task_seed_stability;
       Alcotest.test_case "task-tier verdict shapes" `Quick
         test_task_verdicts;
+      Alcotest.test_case "sp certificates: epoch shape, mutations fail"
+        `Quick test_sp_certificate_mutations;
       Alcotest.test_case "O(1) MHP queries" `Quick test_mhp_queries;
       Alcotest.test_case "Program.make names the offender" `Quick
         test_make_validation;
