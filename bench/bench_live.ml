@@ -1,12 +1,13 @@
 (* Experiment A7 (ours) — live-telemetry bus overhead.
 
    The bus's design claim is "one branch when disabled, off the
-   per-event path when enabled": the sequential driver selects its
-   uninstrumented loop when --live is off, and when it is on it
-   re-chunks the iteration (Obs_live.pub_chunk) so the hot loop still
-   runs the exact uninstrumented handler — the only added work is an
-   O(counters) publish every tick_events events, between chunks.
-   This experiment prices that claim on moldyn
+   per-event path when enabled": every analysis unit (the sequential
+   run, each broadcast shard, each stealing item) makes one plain call
+   over its event source when --live is off, and when it is on walks
+   the source in tick_events windows (Obs_live.pub_chunk) so the hot
+   loop still runs the exact uninstrumented handler — the only added
+   work is an O(counters) publish between windows.  This experiment
+   prices that claim for the sequential run on moldyn
    (the paper's heaviest compute-bound kernel): FastTrack sequential,
    min-of-N wall with the bus off vs on (default period and tick,
    sink to the null device so I/O of the sink itself is not billed to

@@ -31,7 +31,7 @@ let best_wall ~repeat f =
   let rec go n best =
     if n = 0 then best
     else
-      let _, t = Par_run.wall_time f in
+      let _, t = Obs_clock.wall_time f in
       go (n - 1) (Float.min best t)
   in
   go (max 1 repeat) infinity
@@ -43,7 +43,7 @@ let best_run ~repeat f =
   let rec go n best =
     if n = 0 then best
     else
-      let r, t = Par_run.wall_time f in
+      let r, t = Obs_clock.wall_time f in
       let best =
         match best with Some (_, bt) when bt <= t -> best | _ -> Some (r, t)
       in

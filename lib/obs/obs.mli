@@ -7,7 +7,7 @@
     opts in with {!create}.  Every operation on a disabled handle is
     one branch — in particular the hot-loop helpers are written so
     callers can select an uninstrumented closure {e once}, outside
-    the loop (see [Driver.run_packed]) — which is how the ≤5%%
+    the loop (see the driver's analysis unit) — which is how the ≤5%%
     overhead budget of ISSUE 2 is met with margin.
 
     The handle is the unit of merging: the parallel driver gives each

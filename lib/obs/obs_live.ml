@@ -5,13 +5,11 @@
    - each analysis worker holds a [pub] (one per worker id); every
      [tick_events] events it flattens its *own* counters into an
      immutable Obs_snapshot partial and publishes it with one atomic
-     store.  The gate is either a countdown ticker closure wrapped
-     around the hot loop ([pub_ticker], sharded loops) or — cheaper,
-     for loops the driver can re-chunk — iteration in tick-sized
-     windows with a publish between windows ([pub_chunk], the
-     sequential driver).  No locks, no cross-domain reads of mutable
-     detector state — partials are built on the domain that owns the
-     counters;
+     store.  There is one publish shape: the driver walks each event
+     source in tick-sized windows and publishes between windows
+     ([pub_chunk]), so the per-event loop carries no ticker.  No
+     locks, no cross-domain reads of mutable detector state —
+     partials are built on the domain that owns the counters;
    - a collector — the calling thread itself for sequential runs
      (piggy-backed on the publish), a dedicated domain for parallel
      regions ([with_collector]) — merges the latest partials at the
@@ -36,7 +34,6 @@ type worker_pub = {
   mutable wp_done : Obs_snapshot.counts;  (* completed detector instances *)
   mutable wp_rules : (string * int) list; (* merged rules of the same *)
   mutable wp_vars : (string * int) list;  (* merged hot-var standings *)
-  mutable wp_countdown : int;
 }
 
 type enabled = {
@@ -228,8 +225,7 @@ let publisher (t : t) ~worker : pub =
         wp_tick_events = e.tick_events;
         wp_done = Obs_snapshot.zero;
         wp_rules = [];
-        wp_vars = [];
-        wp_countdown = e.tick_events }
+        wp_vars = [] }
     in
     Mutex.lock e.mu;
     e.pubs <- p :: e.pubs;
@@ -251,10 +247,9 @@ let publish p =
              [| { Obs_snapshot.w_id = wp.wp_id;
                   w_events = c.Obs_snapshot.events + c.Obs_snapshot.eliminated } |] })
 
-(* The publish slow path shared by both ticker shapes: merge the
-   worker's folded-in counts with its in-flight instance, stamp the
-   rule (and hot-variable) standings, swap the partial into the
-   collector-visible slot. *)
+(* The publish between chunks: merge the worker's folded-in counts
+   with its in-flight instance, stamp the rule (and hot-variable)
+   standings, swap the partial into the collector-visible slot. *)
 let tick_publish e wp rules vars ~current ~standalone =
   let c = Obs_snapshot.add wp.wp_done (current ()) in
   let rs =
@@ -279,31 +274,16 @@ let tick_publish e wp rules vars ~current ~standalone =
                   c.Obs_snapshot.events + c.Obs_snapshot.eliminated } |] });
   if standalone then step e
 
-let pub_ticker ?(standalone = false) ?rules ?vars (p : pub)
-    ~(current : unit -> Obs_snapshot.counts) : (unit -> unit) option =
-  match p with
-  | None -> None
-  | Some (e, wp) ->
-    Some
-      (fun () ->
-        wp.wp_countdown <- wp.wp_countdown - 1;
-        if wp.wp_countdown <= 0 then begin
-          wp.wp_countdown <- wp.wp_tick_events;
-          tick_publish e wp rules vars ~current ~standalone
-        end)
-
 let pub_chunk ?(standalone = false) ?rules ?vars (p : pub)
     ~(current : unit -> Obs_snapshot.counts) : (int * (unit -> unit)) option
     =
   match p with
   | None -> None
   | Some (e, wp) ->
-    (* Zero-per-event alternative for drivers that own their loop: the
-       caller iterates in chunks of [tick_events] events and invokes
-       the returned thunk between chunks, so the hot loop itself stays
-       exactly the uninstrumented one — no wrapper closure, no
-       countdown, no index check.  Sharded loops can't re-chunk their
-       index subsequences and keep {!pub_ticker}. *)
+    (* The caller iterates in chunks of [tick_events] events and
+       invokes the returned thunk between chunks, so the hot loop
+       itself stays exactly the uninstrumented one — no wrapper
+       closure, no countdown, no index check. *)
     Some
       ( max 1 wp.wp_tick_events,
         fun () -> tick_publish e wp rules vars ~current ~standalone )

@@ -4,18 +4,17 @@
     Roles:
     - the {e driver} creates the bus ({!create}) and one {!pub} per
       worker ({!publisher});
-    - each {e worker} publishes every [tick_events] events — via a
-      {!pub_ticker} closure wrapped around sharded hot loops, or via
-      {!pub_chunk} when the driver can re-chunk the iteration itself
-      (the sequential loop; zero per-event cost): it flattens its own
-      counters into an immutable partial and publishes it with one
-      atomic store (it never touches the sink or another worker's
-      state), and folds completed detector instances in with
-      {!pub_fold};
+    - each {e worker} publishes every [tick_events] events through
+      {!pub_chunk} — the one publish shape: the driver walks its event
+      source in [tick_events] windows and publishes between windows,
+      at zero per-event cost.  It flattens its own counters into an
+      immutable partial and publishes it with one atomic store (it
+      never touches the sink or another worker's state), and folds
+      completed detector instances in with {!pub_fold};
     - the {e collector} merges the latest partials and appends one
       record per elapsed period — the calling thread itself for
-      sequential runs ([~standalone:true] tickers), a dedicated domain
-      for parallel regions ({!with_collector}).
+      sequential runs ([~standalone:true] publishes), a dedicated
+      domain for parallel regions ({!with_collector}).
 
     Stream layout: a header line ([schema]/[source]/[tool]/
     [total_events]/[period_s]/[tick_events]/[host]), then records with
@@ -26,9 +25,9 @@
     fields the [ftrace.obs/1] [--metrics] export writes, so the stream
     can be cross-checked against it to the last integer.
 
-    The disabled handle costs one branch at closure-selection time and
-    nothing per event (the ticker is [None], so drivers keep their
-    uninstrumented loop). *)
+    The disabled handle costs one branch at loop-selection time and
+    nothing per event ({!pub_chunk} is [None], so drivers make one
+    plain call over the whole source). *)
 
 type t
 type pub
@@ -63,24 +62,6 @@ val publisher : t -> worker:int -> pub
     hot loop; on a disabled bus this is free and yields a disabled
     [pub]. *)
 
-val pub_ticker :
-  ?standalone:bool ->
-  ?rules:(unit -> (string * int) list) ->
-  ?vars:(unit -> (string * int) list) ->
-  pub ->
-  current:(unit -> Obs_snapshot.counts) ->
-  (unit -> unit) option
-(** The hot-loop closure, or [None] when disabled (so the driver keeps
-    its uninstrumented loop — the one-branch idiom).  [current] reads
-    the worker's {e own} live counters (same-domain, so the read is
-    safe); it is re-created per detector instance because the counters
-    move.  [rules] likewise reads the instance's own rule tally,
-    invoked only at publish granularity (every [tick_events]), not per
-    event; [vars] is its twin for the profiler's hot-variable
-    standings ([Obs_prof.hot_alist]), surfaced as the records'
-    [top_vars] field.  [standalone] makes the ticker also drive
-    collection (for sequential runs with no collector domain). *)
-
 val pub_chunk :
   ?standalone:bool ->
   ?rules:(unit -> (string * int) list) ->
@@ -88,15 +69,20 @@ val pub_chunk :
   pub ->
   current:(unit -> Obs_snapshot.counts) ->
   (int * (unit -> unit)) option
-(** Zero-per-event alternative to {!pub_ticker} for drivers that
-    control their own iteration: returns [(tick_events, publish)].
-    The driver walks the trace in chunks of [tick_events] events and
-    calls [publish] between chunks, so the hot loop runs the exact
-    uninstrumented event handler — the enabled-mode cost moves
-    entirely off the per-event path.  Only applicable when the loop
-    can be re-chunked (the sequential driver's contiguous
-    [Trace.iter_range]); sharded loops iterate index subsequences and
-    keep {!pub_ticker}. *)
+(** The worker's publish hook, or [None] when disabled (so the driver
+    keeps its uninstrumented loop — the one-branch idiom): returns
+    [(tick_events, publish)].  The driver walks its event source in
+    windows of [tick_events] positions and calls [publish] between
+    windows, so the hot loop runs the exact uninstrumented event
+    handler — the enabled-mode cost lives entirely off the per-event
+    path.  [current] reads the worker's {e own} live counters of the
+    in-flight detector instance (same domain, so the read is safe).
+    [rules] likewise reads the instance's own rule tally, and [vars]
+    its twin for the profiler's hot-variable standings
+    ([Obs_prof.hot_alist]), surfaced as the records' [top_vars]
+    field; both are invoked at publish granularity only.
+    [standalone] makes each publish also drive collection (for
+    sequential runs with no collector domain). *)
 
 val pub_fold :
   ?vars:(string * int) list ->

@@ -175,6 +175,11 @@ let merge ~into src =
        key somehow appears on both sides, the source — the view that
        actually recorded during the region — wins.) *)
     Hashtbl.iter (fun k ring -> Hashtbl.replace into.rings k ring) src.rings;
+    (* Every view replayed the full sync stream, so each holds the
+       complete lock picture: the parent keeps one, as the sequential
+       run's recorder would. *)
+    if Array.length src.held > Array.length into.held then
+      into.held <- src.held;
     into.total <- into.total + src.total;
     into.dropped <- into.dropped + src.dropped
   | _ -> ()

@@ -25,8 +25,8 @@
       bounds").
 
     Like the metrics registry, recorders are {e not} synchronized: the
-    parallel driver gives each shard a private {!shard_view} and
-    {!merge}s them after the region.  Variable sharding makes the
+    driver gives each analysis unit a private {!shard_view} and
+    {!merge}s them after the run.  Variable sharding makes the
     merge trivial — a shard only ever records accesses to keys it
     owns, so the per-key rings of different shards are disjoint — and
     each shard replays the full broadcast sync stream, so every view's
@@ -116,6 +116,8 @@ val shard_view : t -> t
     {!disabled} maps to itself. *)
 
 val merge : into:t -> t -> unit
-(** Fold a shard view's rings and totals back into the parent.
-    Per-key rings are disjoint under variable sharding, so this is a
-    move, not an interleave.  No-op if either side is disabled. *)
+(** Fold a shard view's rings, totals and lock picture back into the
+    parent.  Per-key rings are disjoint under variable sharding, so
+    this is a move, not an interleave; every view's lock picture is
+    the complete one, so the parent keeps the widest.  No-op if either
+    side is disabled. *)

@@ -1,26 +1,15 @@
 (** Orchestration of a sharded parallel analysis region.
 
     [Par_run] owns the generic pipeline — run one task per shard on
-    its own domain ({!Domain_pool}), time the whole region with a
-    wall clock — while staying agnostic of what an "analysis" is: the
-    caller's task typically drives {!Trace.iter_shard} over the
+    its own domain ({!Domain_pool}), time the whole region on the
+    monotonic wall clock ({!Obs_clock.wall_time}) — while staying
+    agnostic of what an "analysis" is: the caller's task typically
+    drives {!Trace.iter_shard} over the
     shared, immutable trace (zero-copy: no per-domain materialization
     and no serial splitting step ahead of the parallel region, which
     would bound speedup by Amdahl's law).  This keeps [ft_parallel]
     free of any dependency on the detector framework, so the detector
     library can depend on it. *)
-
-val now : unit -> float
-(** Seconds on the system {e monotonic} clock ([CLOCK_MONOTONIC]).
-    The absolute value is meaningless; differences are elapsed wall
-    time immune to NTP steps and manual clock changes, so timing
-    records built from it can never come out negative. *)
-
-val wall_time : (unit -> 'a) -> 'a * float
-(** [wall_time f] runs [f ()] and reports elapsed {e wall-clock}
-    seconds on the monotonic clock ({!now}).  The sequential driver's
-    [Driver.time] reports CPU seconds, which is the wrong measure for
-    a multi-domain region (CPU time sums across domains). *)
 
 val map : ?obs:Obs.t -> jobs:int -> (shard:int -> 'r) -> 'r array * float
 (** [map ~jobs f] runs [f ~shard] for every [shard] in

@@ -23,8 +23,11 @@ let default_steal_factor = 8
 
 let length s = Array.length s.indices
 
-let iteri f s =
-  Array.iter (fun i -> f i (Trace.get s.trace i)) s.indices
+let iter_range ~lo ~hi f s =
+  for k = max 0 lo to min hi (Array.length s.indices) - 1 do
+    let i = Array.unsafe_get s.indices k in
+    f i (Trace.get s.trace i)
+  done
 
 let plan ~jobs tr =
   let jobs = max 1 jobs in

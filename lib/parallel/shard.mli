@@ -161,9 +161,10 @@ val default_steal_factor : int
 
 val length : t -> int
 
-val iteri : (int -> Event.t -> unit) -> t -> unit
-(** [iteri f s] calls [f original_trace_index event] for every event
-    of the shard, in trace order. *)
+val iter_range : lo:int -> hi:int -> (int -> Event.t -> unit) -> t -> unit
+(** [iter_range ~lo ~hi f s] calls [f original_trace_index event] for
+    the shard's events at positions [[lo, hi)] of [indices], in trace
+    order.  Out-of-range bounds are clamped. *)
 
 val imbalance : plan -> float
 (** Max over mean of per-shard owned-access counts (1.0 = perfectly

@@ -9,8 +9,10 @@ let iter = Array.iter
 let iteri = Array.iteri
 let fold f init tr = Array.fold_left f init tr
 
-let iter_shard ~jobs ~shard f tr =
-  for i = 0 to Array.length tr - 1 do
+let iter_shard ?(lo = 0) ?hi ~jobs ~shard f tr =
+  let n = Array.length tr in
+  let hi = match hi with Some hi -> min hi n | None -> n in
+  for i = max 0 lo to hi - 1 do
     let e = Array.unsafe_get tr i in
     match e with
     | Event.Read { x; _ } | Event.Write { x; _ } ->

@@ -16,7 +16,9 @@ val get : t -> int -> Event.t
 val iter : (Event.t -> unit) -> t -> unit
 val iteri : (int -> Event.t -> unit) -> t -> unit
 
-val iter_shard : jobs:int -> shard:int -> (int -> Event.t -> unit) -> t -> unit
+val iter_shard :
+  ?lo:int -> ?hi:int -> jobs:int -> shard:int -> (int -> Event.t -> unit) ->
+  t -> unit
 (** The shard-split iterator of the parallel driver: calls
     [f index event] — in trace order, with {e original} trace indices —
     for the sub-stream belonging to shard [shard] of a [jobs]-way
@@ -26,7 +28,9 @@ val iter_shard : jobs:int -> shard:int -> (int -> Event.t -> unit) -> t -> unit
     the full happens-before structure in its private sync state.
     Zero-copy: nothing is materialized, so concurrent [iter_shard]s
     from several domains share the immutable trace.
-    [iter_shard ~jobs:1 ~shard:0] enumerates the whole trace. *)
+    [iter_shard ~jobs:1 ~shard:0] enumerates the whole trace; [lo]/[hi]
+    (default: the whole trace, clamped like {!iter_range}) restrict the
+    scan to the half-open segment [[lo, hi)]. *)
 
 val iter_range : lo:int -> hi:int -> (int -> Event.t -> unit) -> t -> unit
 (** [iter_range ~lo ~hi f tr] calls [f index event] for every event of

@@ -199,7 +199,7 @@ let test_shard_plan () =
         (s.Shard.accesses + plan.Shard.broadcast)
         (Shard.length s);
       let last = ref (-1) in
-      Shard.iteri
+      Shard.iter_range ~lo:0 ~hi:(Shard.length s)
         (fun index e ->
           if index <= !last then
             Alcotest.failf "shard %d: indices not increasing" s.shard_id;
@@ -253,7 +253,7 @@ let test_stealing_plan () =
         (Printf.sprintf "item %d: access events only" s.Shard.shard_id)
         s.Shard.accesses (Shard.length s);
       let last = ref (-1) in
-      Shard.iteri
+      Shard.iter_range ~lo:0 ~hi:(Shard.length s)
         (fun index e ->
           if index <= !last then
             Alcotest.failf "item %d: indices not increasing" s.shard_id;
@@ -364,6 +364,52 @@ let test_wide_threads () =
       check_plan "128 threads" (module Fasttrack) tr ~seq ~jobs Shard.Stealing)
     [ 1; 2 ]
 
+(* A forced stealing run that cannot be right must refuse rather than
+   answer: items carry access events only, so a detector with private
+   sync state would never see a sync event, and the flight recorder's
+   held-lock picture (built from the sync stream) would stay empty.
+   The default plan choice falls back to the static plan instead. *)
+let test_forced_stealing_refused () =
+  let tr =
+    Workload.trace ~seed:11 ~scale:1 (Option.get (Workloads.find "moldyn"))
+  in
+  List.iter
+    (fun ((module D : Detector.S) as d) ->
+      Alcotest.check_raises
+        (D.name ^ ": stealing refused")
+        (Invalid_argument
+           (Printf.sprintf
+              "Driver.run_parallel: the stealing plan needs a detector \
+               that shares clocks; %s keeps private sync state"
+              D.name))
+        (fun () ->
+          ignore (Driver.run_parallel ~jobs:2 ~plan:Shard.Stealing d tr));
+      Alcotest.(check bool)
+        (D.name ^ ": default plan is static")
+        true
+        ((Driver.run_parallel ~jobs:2 d tr).Driver.plan_kind = Shard.Static))
+    [ (module Goldilocks : Detector.S); (module Fasttrack_accordion) ];
+  List.iter
+    (fun jobs ->
+      let config =
+        Config.with_recorder (Obs_recorder.create ()) Config.default
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "recorder: stealing refused, %d jobs" jobs)
+        (Invalid_argument
+           "Driver.run_parallel: the stealing plan cannot run the flight \
+            recorder (its items see no lock events)")
+        (fun () ->
+          ignore
+            (Driver.run_parallel ~config ~jobs ~plan:Shard.Stealing
+               (module Fasttrack) tr));
+      Alcotest.(check bool)
+        (Printf.sprintf "recorder: default plan is static, %d jobs" jobs)
+        true
+        ((Driver.run_parallel ~config ~jobs (module Fasttrack) tr)
+           .Driver.plan_kind = Shard.Static))
+    [ 1; 2 ]
+
 let suite =
   ( "parallel",
     [ Alcotest.test_case "seq ≡ par on every workload (jobs 1/3/8)" `Quick
@@ -381,4 +427,6 @@ let suite =
       Alcotest.test_case "128 threads: stealing ≡ sequential" `Quick
         test_wide_threads;
       Alcotest.test_case "degenerate shard counts" `Quick
-        test_degenerate_jobs ] )
+        test_degenerate_jobs;
+      Alcotest.test_case "forced stealing refused when unsound" `Quick
+        test_forced_stealing_refused ] )
