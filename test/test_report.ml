@@ -94,10 +94,9 @@ let test_recorder_invariance () =
     (fun name ->
       let tr = trace_of name in
       let plain = Driver.run (module Fasttrack) tr in
+      let seq_rec = Obs_recorder.create () in
       let with_rec =
-        let config =
-          Config.with_recorder (Obs_recorder.create ()) Config.default
-        in
+        let config = Config.with_recorder seq_rec Config.default in
         Driver.run ~config (module Fasttrack) tr
       in
       Alcotest.(check (list Test_obs.warning))
@@ -120,7 +119,19 @@ let test_recorder_invariance () =
             Alcotest.(check bool)
               (name ^ ": merged recorder saw accesses")
               true
-              (Obs_recorder.recorded config.Config.recorder > 0))
+              (Obs_recorder.recorded config.Config.recorder > 0);
+          (* every shard replays the whole sync stream, so the merged
+             recorder holds what the sequential one does: the same
+             rings and one complete lock picture *)
+          let par_rec = config.Config.recorder in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: merged keys = sequential (%d jobs)" name jobs)
+            (Obs_recorder.keys seq_rec) (Obs_recorder.keys par_rec);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: merged approx_words = sequential (%d jobs)"
+               name jobs)
+            (Obs_recorder.approx_words seq_rec)
+            (Obs_recorder.approx_words par_rec))
         [ 2; 5 ])
     [ "raytracer"; "hedc"; "tsp" ]
 
