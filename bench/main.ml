@@ -148,7 +148,9 @@ let () =
     "FastTrack reproduction benchmarks (scale %d, repeat %d)\n\n" !scale
     !repeat;
   let obs =
-    if !metrics <> None then Obs.create () else Obs.disabled
+    (* the harness document keeps its end-of-run heap walk: one per
+       invocation, next to experiments that run for seconds *)
+    if !metrics <> None then Obs.create ~heap_walk:true () else Obs.disabled
   in
   List.iter
     (fun name ->
@@ -164,7 +166,7 @@ let () =
     !history;
   Option.iter
     (fun path ->
-      Obs.gc_sample_full obs;
+      Obs.gc_sample_final obs;
       Obs.bump obs "bench.records" (List.length (Bench_json.recorded ()));
       Obs_export.write_file ~path obs;
       Printf.printf "wrote harness metrics to %s\n" path)

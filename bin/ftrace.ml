@@ -310,11 +310,13 @@ let print_verbose_panel ~jobs ~obs ~prof (r : Driver.result) =
     match List.rev (Obs_gc.samples g) with
     | last :: _ as rev ->
       Printf.printf
-        "gc: %d sample(s); heap %s words, live %s words — stats peak %s \
+        "gc: %d sample(s); heap %s words, live %s — stats peak %s \
          shadow words\n"
         (List.length rev)
         (Table.fmt_int last.Obs_gc.heap_words)
-        (Table.fmt_int last.Obs_gc.live_words)
+        (if last.Obs_gc.full then
+           Table.fmt_int last.Obs_gc.live_words ^ " words"
+         else "n/a (--heap-walk)")
         (Table.fmt_int r.stats.Stats.peak_words)
     | [] -> ())
   | None -> ());
@@ -421,8 +423,8 @@ let stdout_sink_collision ~metrics ~report ~trace_out ~live ~profile =
   else None
 
 let analyze path tool granularity sampling jobs prefilter static_elim
-    show_stats verbose_stats metrics explain_race report trace_out live
-    live_period profile fail_on_race =
+    show_stats verbose_stats metrics heap_walk explain_race report trace_out
+    live live_period profile fail_on_race =
   match
     stdout_sink_collision ~metrics ~report ~trace_out ~live ~profile
   with
@@ -484,7 +486,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
          asserted identical either way in test/test_obs.ml). *)
       let obs =
         if verbose_stats || metrics <> None || trace_out <> None then
-          Obs.create ~gc_every:8192 ()
+          Obs.create ~gc_every:8192 ~heap_walk ()
         else Obs.disabled
       in
       (* The flight recorder rides only when a report will read it:
@@ -501,32 +503,11 @@ let analyze path tool granularity sampling jobs prefilter static_elim
         if profile <> None || verbose_stats then Obs_prof.create ()
         else Obs_prof.disabled
       in
-      (* The live telemetry bus streams in-flight snapshots while the
-         run is still going (--metrics is post-hoc); the CLI owns the
-         sink's lifecycle, the driver only feeds the bus. *)
-      let live_r =
-        match live with
-        | None -> Ok Obs_live.disabled
-        | Some spec -> (
-          match Obs_live.open_sink spec with
-          | Error msg -> Error (Printf.sprintf "--live %s" msg)
-          | Ok (sink, owns_sink) ->
-            Ok
-              (Obs_live.create ~period:live_period
-                 ~total:(Trace.length tr) ~source:path
-                 ~tool:(String.lowercase_ascii tool) ~sink ~owns_sink ()))
-      in
-      match live_r with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok live ->
       let config =
         Config.with_prof prof
-          (Config.with_live live
-             (Config.with_recorder recorder
-                (Config.with_obs obs
-                   (Config.with_sampling sampling (config_of granularity)))))
+          (Config.with_recorder recorder
+             (Config.with_obs obs
+                (Config.with_sampling sampling (config_of granularity))))
       in
       let config =
         match static_pred with
@@ -534,6 +515,32 @@ let analyze path tool granularity sampling jobs prefilter static_elim
         | None -> config
       in
       let jobs = if jobs = 0 then Driver.default_jobs () else max 1 jobs in
+      (* The live telemetry bus streams in-flight snapshots while the
+         run is still going (--metrics is post-hoc); the CLI owns the
+         sink's lifecycle, the driver only feeds the bus.  The header's
+         total is what the chosen plan's stream will count. *)
+      let live_r =
+        match live with
+        | None -> Ok Obs_live.disabled
+        | Some spec -> (
+          match Obs_live.open_sink spec with
+          | Error msg -> Error (Printf.sprintf "--live %s" msg)
+          | Ok (sink, owns_sink) ->
+            let parallel =
+              if jobs > 1 then Some (Driver.parallel_plan ~config d, jobs)
+              else None
+            in
+            Ok
+              (Obs_live.create ~period:live_period
+                 ~total:(Driver.stream_events ?parallel tr) ~source:path
+                 ~tool:(String.lowercase_ascii tool) ~sink ~owns_sink ()))
+      in
+      match live_r with
+      | Error msg ->
+        prerr_endline msg;
+        1
+      | Ok live ->
+      let config = Config.with_live live config in
       (* Warn (don't clamp): oversubscription is legal — and the only
          way to exercise the parallel plans on a small machine — but
          it will not be faster, so say so once. *)
@@ -682,6 +689,18 @@ let analyze_cmd =
                    with per-shard durations, GC samples, run summary \
                    with imbalance) to $(docv).")
   in
+  let heap_walk =
+    Arg.(value & flag
+         & info [ "heap-walk" ]
+             ~doc:"End the run with a full GC heap walk ($(b,Gc.stat)) so \
+                   the last $(b,gc) sample of $(b,--metrics) (and the \
+                   $(b,--verbose-stats) panel) carries $(b,live_words), \
+                   the GC's own bound on the shadow memory of Table 3.  \
+                   Off by default: the walk finishes a major cycle and \
+                   can cost more than the analysis.  Takes effect with \
+                   $(b,--metrics), $(b,--verbose-stats) or \
+                   $(b,--trace-out).")
+  in
   let explain_race =
     Arg.(value & flag
          & info [ "explain" ]
@@ -756,7 +775,7 @@ let analyze_cmd =
       const analyze $ trace_arg $ tool_arg $ granularity_arg
       $ sampling_term $ jobs_arg
       $ prefilter $ static_elim $ stats $ verbose_stats $ metrics
-      $ explain_race $ report $ trace_out $ live $ live_period
+      $ heap_walk $ explain_race $ report $ trace_out $ live $ live_period
       $ profile $ fail_on_race)
 
 (* ------------------------------------------------------------------ *)

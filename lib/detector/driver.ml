@@ -124,20 +124,23 @@ type outcome = {
 (* Run one unit.  The detector gets private flight-recorder and
    profiler views (fresh rings and lock picture, fresh cells and
    sketch): units may run concurrently, and variable ownership makes
-   the views' keys disjoint, so [merge] moves them back.  [gc] ticks
-   the GC sampler per event (the sequential run only; the sampler is
-   not shared across domains).  [skip] is the certified-variable
-   predicate: accesses it accepts never reach the detector, and since
-   accesses cannot modify the sync state every other variable's
-   analysis is unchanged.  [span] names the unit's span from its
-   stats and warning count; the span and the returned wall cover the
-   walk over the source only, not instantiation, census or fold.
+   the views' keys disjoint, so [merge] moves them back.  [gc] takes
+   the GC sampler's periodic samples (the sequential run only).
+   [skip] is the certified-variable predicate: accesses it accepts
+   never reach the detector, and since accesses cannot modify the sync
+   state every other variable's analysis is unchanged.  [span] names
+   the unit's span from its stats and warning count; the span and the
+   returned wall cover the walk over the source only, not
+   instantiation, census or fold.
 
    Each branch below is chosen once, outside the loop: with every
    hook off the loop calls the packed handler itself over the whole
-   source.  With live telemetry on, the source is walked in
-   [tick_events] windows with a publish between windows, so the
-   per-event path stays the same handler. *)
+   source.  Otherwise the source is walked in windows that end at
+   every multiple of each hook's period, and a hook runs after each
+   window ending at one of its multiples, so the per-event path stays
+   the same handler: the live publish every [tick_events] positions
+   (the unit's final counts follow in [pub_fold]), a GC sample every
+   [gc_every] positions (⌊length / gc_every⌋ samples). *)
 let analyze_unit ?(gc = Obs.disabled) ?(standalone = false) ?skip ~obs
     ~pub ~span d config src =
   let rec_view = Obs_recorder.shard_view config.Config.recorder in
@@ -146,13 +149,7 @@ let analyze_unit ?(gc = Obs.disabled) ?(standalone = false) ?skip ~obs
     Detector.instantiate d
       (Config.with_prof prof_view (Config.with_recorder rec_view config))
   in
-  let handler = Detector.packed_handler packed in
-  let on_event =
-    if Obs.is_enabled gc then (fun index e ->
-        handler index e;
-        Obs.tick gc)
-    else handler
-  in
+  let on_event = Detector.packed_handler packed in
   let eliminated = ref 0 in
   let on_event =
     match skip with
@@ -166,24 +163,34 @@ let analyze_unit ?(gc = Obs.disabled) ?(standalone = false) ?skip ~obs
   in
   let st = Detector.packed_stats packed in
   let warning_count () = List.length (Detector.packed_warnings packed) in
+  let hooks =
+    List.filter_map Fun.id
+      [ (* [current] is read on this unit's own domain, at publish
+           granularity only. *)
+        Obs_live.pub_chunk ~standalone pub
+          ~current:(fun () ->
+            live_counts st ~extra_elim:!eliminated
+              ~warnings:(warning_count ()))
+          ~rules:(fun () -> Stats.rules_alist st)
+          ~vars:(fun () -> Obs_prof.hot_alist ~k:8 prof_view);
+        Obs.gc_window gc ]
+  in
   let iterate =
-    (* [current] is read on this unit's own domain, at publish
-       granularity only. *)
-    match
-      Obs_live.pub_chunk ~standalone pub
-        ~current:(fun () ->
-          live_counts st ~extra_elim:!eliminated ~warnings:(warning_count ()))
-        ~rules:(fun () -> Stats.rules_alist st)
-        ~vars:(fun () -> Obs_prof.hot_alist ~k:8 prof_view)
-    with
-    | None -> fun () -> src.iter_range ~lo:0 ~hi:src.length on_event
-    | Some (chunk, publish) ->
+    match hooks with
+    | [] -> fun () -> src.iter_range ~lo:0 ~hi:src.length on_event
+    | hooks ->
       fun () ->
         let rec go lo =
           if lo < src.length then begin
-            let hi = min src.length (lo + chunk) in
+            let hi =
+              List.fold_left
+                (fun hi (every, _) -> min hi ((lo / every + 1) * every))
+                src.length hooks
+            in
             src.iter_range ~lo ~hi on_event;
-            publish ();
+            List.iter
+              (fun (every, hook) -> if hi mod every = 0 then hook ())
+              hooks;
             go hi
           end
         in
@@ -263,7 +270,7 @@ let merge (module D : Detector.S) config ?base ~groups ~plan_kind ~slots
    each step only does work when its hook is on. *)
 let finish config r =
   let obs = config.Config.obs in
-  Obs.gc_sample_full obs;
+  Obs.gc_sample_final obs;
   finish_metrics obs r.stats ~wall:r.wall;
   recorder_gauges obs config.Config.recorder;
   if Obs.is_enabled obs && r.shards <> [||] then begin
@@ -293,11 +300,9 @@ let run ?(config = Config.default) d tr =
       d config (trace_source tr)
   in
   let cpu = Sys.time () -. cpu0 in
-  (* The run's stats are the unit's own: re-summing one unit would
-     reorder tied rule counts in the exports. *)
   finish config
     { (merge d config ~groups:[||] ~plan_kind:Shard.Static ~slots:1 [| u |])
-      with cpu; wall = u.o_wall; stats = u.o_stats }
+      with cpu; wall = u.o_wall }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded parallel driver (see lib/parallel and DESIGN.md).          *)
@@ -416,6 +421,16 @@ let run_stealing config ~jobs d tr =
                (Array.to_seq plan.Shard.shards))
         in
         let item_config = Config.with_sync_source timeline config in
+        (* With every access routed out no item runs; a fresh instance
+           still names the detector's rules, so the merged stats list
+           them (at 0) as every other plan does. *)
+        if items = [||] then
+          List.iter
+            (fun (name, _) -> ignore (Stats.counter base name))
+            (Stats.rules_alist
+               (Detector.packed_stats
+                  (Detector.instantiate d
+                     (Config.with_prof Obs_prof.disabled item_config))));
         (* One live publisher per worker, created up front on the
            calling domain; it outlives the worker's items, which are
            folded into it as they complete. *)
@@ -445,10 +460,7 @@ let run_stealing config ~jobs d tr =
   let cpu = Sys.time () -. cpu0 in
   finish config { r with cpu; wall }
 
-let run_parallel ?(config = Config.default) ?jobs ?plan d tr =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
+let parallel_plan ?(config = Config.default) ?plan d =
   let (module D : Detector.S) = d in
   let recorder = Obs_recorder.is_enabled config.Config.recorder in
   (* The stealing plan resolves every sync lookup through the shared
@@ -466,9 +478,27 @@ let run_parallel ?(config = Config.default) ?jobs ?plan d tr =
     invalid_arg
       "Driver.run_parallel: the stealing plan cannot run the flight \
        recorder (its items see no lock events)"
-  | Some Shard.Stealing -> run_stealing config ~jobs d tr
-  | None when D.shares_clocks && not recorder -> run_stealing config ~jobs d tr
-  | Some Shard.Static | None -> run_static config ~jobs d tr
+  | Some kind -> kind
+  | None when D.shares_clocks && not recorder -> Shard.Stealing
+  | None -> Shard.Static
+
+let run_parallel ?(config = Config.default) ?jobs ?plan d tr =
+  let jobs =
+    match jobs with Some j -> max 1 j | None -> default_jobs ()
+  in
+  match parallel_plan ~config ?plan d with
+  | Shard.Stealing -> run_stealing config ~jobs d tr
+  | Shard.Static -> run_static config ~jobs d tr
+
+(* Every broadcast shard counts every non-access event; the stealing
+   plan counts them once, in its timeline base. *)
+let stream_events ?parallel tr =
+  match parallel with
+  | Some (Shard.Static, jobs) ->
+    let reads, writes, _ = Trace.counts tr in
+    let n = Trace.length tr in
+    n + ((max 1 jobs - 1) * (n - reads - writes))
+  | Some (Shard.Stealing, _) | None -> Trace.length tr
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-document assembly (the [--metrics FILE] payload).          *)

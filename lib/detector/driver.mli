@@ -22,7 +22,11 @@
     {!write_metrics} dumps the whole document as JSON.  Each hook's
     branch is chosen once per unit, outside the event loop: with every
     hook off the loop calls the detector's own handler over the whole
-    source, so a disabled run pays nothing per event. *)
+    source, so a disabled run pays nothing per event; with the live
+    bus or the sequential run's GC sampler on, the unit walks its
+    source in windows and publishes or samples between windows.  The end-of-run
+    GC sample walks the heap only if the handle asked for it
+    ([Obs.create ~heap_walk:true]). *)
 
 type shard_info = {
   shard_id : int;
@@ -144,6 +148,22 @@ val run_parallel :
     [timeline.*], [shard.*] and [prefix.*] gauges — the latter making
     the serial-prefix fraction visible in the [ftrace.obs/1]
     document. *)
+
+val parallel_plan :
+  ?config:Config.t -> ?plan:Shard.kind -> (module Detector.S) ->
+  Shard.kind
+(** The plan {!run_parallel} runs with these arguments: [plan] if
+    given, else the default choice above.
+    @raise Invalid_argument as {!run_parallel} does. *)
+
+val stream_events : ?parallel:Shard.kind * int -> Trace.t -> int
+(** The events a run over the trace counts in its merged
+    [Stats.events + Stats.eliminated] and its live stream's
+    [cum_events]: the trace length for {!run} ([parallel] absent) and
+    the stealing plan, plus [(jobs - 1)] x the non-access events for
+    the static plan at [jobs] shards, whose every shard counts every
+    non-access event.  The live header's [total_events] is this
+    figure, so a stream reaches 100% exactly when its run does. *)
 
 val default_jobs : unit -> int
 (** The runtime's [Domain.recommended_domain_count ()]. *)

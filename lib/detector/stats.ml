@@ -96,9 +96,12 @@ let fields_alist s =
     ("state_words", s.state_words);
     ("peak_words", s.peak_words) ]
 
+(* Most hits first; ties by name, so the order never depends on the
+   table's bucket layout (which [merge_into] does not preserve). *)
 let rules_alist s =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.rules []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  |> List.sort (fun (a, m) (b, n) ->
+         match Int.compare n m with 0 -> String.compare a b | c -> c)
 
 let pp ppf s =
   Format.fprintf ppf

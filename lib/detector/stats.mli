@@ -57,7 +57,9 @@ val sum : t list -> t
 (** Fresh accumulator holding the {!merge_into} of the list. *)
 
 val rules_alist : t -> (string * int) list
-(** Rules sorted by descending hit count. *)
+(** Rules sorted by descending hit count, ties by name: the same
+    order for a run's stats and for any {!sum} or {!merge_into} that
+    reaches the same counts. *)
 
 val fields_alist : t -> (string * int) list
 (** Every scalar counter as [(name, value)], in declaration order —

@@ -8,11 +8,11 @@ type t = enabled option
 
 let disabled = None
 
-let create ?gc_every () =
+let create ?gc_every ?heap_walk () =
   Some
     { metrics = Obs_metrics.create ();
       spans = Obs_span.create ();
-      gc = Obs_gc.create ?every:gc_every () }
+      gc = Obs_gc.create ?every:gc_every ?heap_walk () }
 
 let is_enabled = Option.is_some
 let metrics t = Option.map (fun e -> e.metrics) t
@@ -30,12 +30,15 @@ let record_span t ~name ~start ~duration ?attrs () =
   | Some e -> Obs_span.record e.spans ~name ~start ~duration ?attrs ()
 
 let now = function None -> 0. | Some e -> Obs_span.now e.spans
-let tick = function None -> () | Some e -> Obs_gc.tick e.gc
 let gc_sample = function None -> () | Some e -> Obs_gc.sample_now e.gc
 
-let gc_sample_full = function
+let gc_sample_final = function
   | None -> ()
-  | Some e -> Obs_gc.sample_full e.gc
+  | Some e -> Obs_gc.sample_final e.gc
+
+let gc_window = function
+  | None -> None
+  | Some e -> Some (Obs_gc.every e.gc, fun () -> Obs_gc.sample_now e.gc)
 
 let counter t name =
   match t with None -> None | Some e -> Some (Obs_metrics.counter e.metrics name)

@@ -21,9 +21,13 @@ type t
 val disabled : t
 (** The inert handle; all operations are no-ops. *)
 
-val create : ?gc_every:int -> unit -> t
-(** A fresh enabled handle.  [gc_every] is the hot-loop tick period
-    of the GC sampler (default 65536 events). *)
+val create : ?gc_every:int -> ?heap_walk:bool -> unit -> t
+(** A fresh enabled handle.  [gc_every] is the period of the GC
+    sampler's periodic samples (default 65536 events, see
+    {!gc_window}).  [heap_walk] (default [false]) makes the end-of-run
+    sample a [Gc.stat] heap walk that fills in [live_words]: the
+    Table 3 cross-check, opt-in because the walk costs ~40–50 ms on a
+    Table 1 heap, many times the analysis it would observe. *)
 
 val is_enabled : t -> bool
 
@@ -47,14 +51,19 @@ val record_span :
 val now : t -> float
 (** Seconds since the span sink's epoch; [0.] when disabled. *)
 
-val tick : t -> unit
-(** GC-sampler tick (hot loop). *)
-
 val gc_sample : t -> unit
 (** Quick GC sample at a phase boundary. *)
 
-val gc_sample_full : t -> unit
-(** Full [Gc.stat] sample (heap walk) — end of run. *)
+val gc_sample_final : t -> unit
+(** End-of-run GC sample ({!Obs_gc.sample_final}): a heap walk only
+    when the handle was created with [~heap_walk:true]. *)
+
+val gc_window : t -> (int * (unit -> unit)) option
+(** The periodic GC sample in the live publisher's shape
+    ([Obs_live.pub_chunk]): [(gc_every, sample)], or [None] when
+    disabled.  The driver walks its event source in windows and calls
+    [sample] at every position that is a multiple of [gc_every], so
+    no GC hook runs per event. *)
 
 val counter : t -> string -> Obs_metrics.counter option
 val bump : t -> string -> int -> unit

@@ -13,18 +13,19 @@ type sample = {
 type t = {
   epoch : float;
   every : int;
-  mutable countdown : int;
+  heap_walk : bool;
   mutable recorded : sample list;  (* reverse chronological *)
   mu : Mutex.t;
 }
 
-let create ?(every = 65536) () =
-  let every = max 1 every in
+let create ?(every = 65536) ?(heap_walk = false) () =
   { epoch = Unix.gettimeofday ();
-    every;
-    countdown = every;
+    every = max 1 every;
+    heap_walk;
     recorded = [];
     mu = Mutex.create () }
+
+let every t = t.every
 
 let of_stat t ~full (st : Gc.stat) =
   { at = Unix.gettimeofday () -. t.epoch;
@@ -32,7 +33,7 @@ let of_stat t ~full (st : Gc.stat) =
     major_words = st.Gc.major_words;
     heap_words = st.Gc.heap_words;
     top_heap_words = st.Gc.top_heap_words;
-    live_words = st.Gc.live_words;
+    live_words = (if full then st.Gc.live_words else 0);
     minor_collections = st.Gc.minor_collections;
     major_collections = st.Gc.major_collections;
     full }
@@ -43,14 +44,10 @@ let push t s =
   Mutex.unlock t.mu
 
 let sample_now t = push t (of_stat t ~full:false (Gc.quick_stat ()))
-let sample_full t = push t (of_stat t ~full:true (Gc.stat ()))
 
-let tick t =
-  t.countdown <- t.countdown - 1;
-  if t.countdown <= 0 then begin
-    t.countdown <- t.every;
-    sample_now t
-  end
+let sample_final t =
+  if t.heap_walk then push t (of_stat t ~full:true (Gc.stat ()))
+  else sample_now t
 
 let samples t =
   Mutex.lock t.mu;

@@ -1,15 +1,19 @@
 (** Periodic GC/heap sampling.
 
-    Samples are cheap ([Gc.quick_stat] — no heap walk) and are taken
-    every [every] ticks of the hot loop plus once at each explicit
-    [sample_now]; a final {!sample_full} ([Gc.stat], walks the heap
-    for [live_words]) gives the independent cross-check for the
-    paper's Table 3 memory numbers ([Stats.peak_words] counts shadow
-    words by hand; the GC's live words bound it from above).
+    Samples are cheap ([Gc.quick_stat] — no heap walk).  The driver
+    takes one every [every] events at window boundaries of the
+    sequential run's walk (nothing runs per event), one at each
+    explicit {!sample_now}, and one at the end of the run
+    ({!sample_final}).
 
-    The tick counter is a single decrement-and-test, so the per-event
-    cost of an {e enabled} sampler is ~1 ns; a disabled run never
-    constructs one. *)
+    The heap walk is opt-in ([create ~heap_walk:true], [ftrace
+    analyze --heap-walk]): only then is the final sample a [Gc.stat],
+    which finishes a major cycle and walks the whole heap for
+    [live_words]: ~40–50 ms per run with the 16 Table 1 traces
+    resident (2-core x86-64 host), against a few ms of analysis.
+    That walk gives the independent cross-check for the
+    paper's Table 3 memory numbers ([Stats.peak_words] counts shadow
+    words by hand; the GC's live words bound it from above). *)
 
 type sample = {
   at : float;              (** wall seconds since the sampler's epoch *)
@@ -17,26 +21,29 @@ type sample = {
   major_words : float;     (** cumulative allocation, words *)
   heap_words : int;        (** major heap size *)
   top_heap_words : int;
-  live_words : int;        (** 0 except for {!sample_full} samples *)
+  live_words : int;        (** 0 unless [full] *)
   minor_collections : int;
   major_collections : int;
-  full : bool;             (** whether [live_words] is meaningful *)
+  full : bool;             (** the heap walk ran: [live_words] is
+                               meaningful *)
 }
 
 type t
 
-val create : ?every:int -> unit -> t
-(** [every] defaults to 65536 ticks between periodic samples. *)
+val create : ?every:int -> ?heap_walk:bool -> unit -> t
+(** [every] is the period, in events, of the driver's periodic samples
+    (default 65536).  [heap_walk] (default [false]) makes
+    {!sample_final} walk the heap. *)
 
-val tick : t -> unit
-(** Hot-loop hook: decrement the countdown, sample when it hits 0. *)
+val every : t -> int
 
 val sample_now : t -> unit
 (** Take a quick sample immediately (phase boundaries). *)
 
-val sample_full : t -> unit
-(** Take a [Gc.stat] sample (computes [live_words]; walks the heap —
-    end-of-run only). *)
+val sample_final : t -> unit
+(** End-of-run sample: a [Gc.stat] heap walk (sets [live_words] and
+    [full]) when the sampler was created with [~heap_walk:true], else
+    a quick sample. *)
 
 val samples : t -> sample list
 (** Chronological. *)

@@ -54,8 +54,11 @@ val create :
   t
 (** Open the bus and write the header line.  [period] (default 0.05s)
     gates record emission; [tick_events] (default 8192) is the
-    per-worker publish granularity; [total] is the trace length used
-    by consumers for progress/ETA (0 when unknown). *)
+    per-worker publish granularity; [total] is the event count a
+    finished run's [cum_events] reaches ([Driver.stream_events]: the
+    trace length, more under the static plan, whose shards each count
+    every non-access event), used by consumers for progress/ETA (0
+    when unknown). *)
 
 val publisher : t -> worker:int -> pub
 (** A per-worker publisher handle.  Call once per worker, before its

@@ -30,8 +30,10 @@ let compare a b =
 
 let hash x = (x.obj * 31) + x.field
 
-let pp ppf x =
-  if x.field = 0 then Format.fprintf ppf "x%d" x.obj
-  else Format.fprintf ppf "x%d.%d" x.obj x.field
+(* Plain concatenation, not [Format.asprintf]: the profiler names
+   every new variable's cell with it. *)
+let to_string x =
+  if x.field = 0 then "x" ^ string_of_int x.obj
+  else "x" ^ string_of_int x.obj ^ "." ^ string_of_int x.field
 
-let to_string x = Format.asprintf "%a" pp x
+let pp ppf x = Format.pp_print_string ppf (to_string x)

@@ -272,7 +272,7 @@ let jobs = 4
 let metrics_doc ?plan () =
   let w = Option.get (Workloads.find "raytracer") in
   let tr = Workload.trace ~seed:11 ~scale:1 w in
-  let obs = Obs.create ~gc_every:1024 () in
+  let obs = Obs.create ~gc_every:1024 ~heap_walk:true () in
   let config = Config.with_obs obs Config.default in
   let result =
     Driver.run_parallel ~config ~jobs ?plan (module Fasttrack) tr
@@ -325,8 +325,9 @@ let test_metrics_schema () =
       if as_num (member "heap_words" s) <= 0. then
         Alcotest.fail "gc sample without heap words")
     gc;
-  (* the full end-of-run sample carries live words: the independent
-     cross-check for Stats.peak_words (Table 3) *)
+  (* with the heap walk on, the full end-of-run sample carries live
+     words: the independent cross-check for Stats.peak_words
+     (Table 3) *)
   let full =
     List.filter (fun s -> member "full" s = Bool true) gc
   in
@@ -452,6 +453,48 @@ let test_disabled_document () =
   Alcotest.(check int) "no gc samples" 0
     (List.length (as_arr (member "gc" j)))
 
+(* GC samples are taken between windows of the sequential run's walk:
+   one at the start, one per [gc_every] events (with the live bus's
+   windows interleaved or not), one at the end.  The end-of-run heap
+   walk is opt-in: a default handle's last sample is a quick one. *)
+let test_gc_windows () =
+  let tr =
+    Workload.trace ~seed:11 ~scale:1 (Option.get (Workloads.find "raytracer"))
+  in
+  let every = 97 in
+  let run ?heap_walk ?(live = Obs_live.disabled) () =
+    let obs = Obs.create ~gc_every:every ?heap_walk () in
+    let config = Config.with_live live (Config.with_obs obs Config.default) in
+    let r = Driver.run ~config (module Fasttrack) tr in
+    (r, Obs_gc.samples (Option.get (Obs.gc obs)))
+  in
+  let expected = 2 + (Trace.length tr / every) in
+  let _, samples = run () in
+  Alcotest.(check int) "start + periodic + final" expected
+    (List.length samples);
+  let last = List.nth samples (List.length samples - 1) in
+  Alcotest.(check bool) "default final sample: no heap walk" false
+    last.Obs_gc.full;
+  Alcotest.(check int) "no live words without the walk" 0
+    last.Obs_gc.live_words;
+  if List.exists (fun g -> g.Obs_gc.full) samples then
+    Alcotest.fail "a default handle walked the heap";
+  let sink = open_out Filename.null in
+  let live =
+    Obs_live.create ~tick_events:64 ~sink ~owns_sink:true ()
+  in
+  let _, samples = run ~live () in
+  Obs_live.close live;
+  Alcotest.(check int) "same count with live windows" expected
+    (List.length samples);
+  let r, samples = run ~heap_walk:true () in
+  let last = List.nth samples (List.length samples - 1) in
+  Alcotest.(check bool) "opt-in final sample walks the heap" true
+    last.Obs_gc.full;
+  if last.Obs_gc.live_words < r.Driver.stats.Stats.peak_words then
+    Alcotest.failf "GC live words (%d) below the shadow peak (%d)"
+      last.Obs_gc.live_words r.Driver.stats.Stats.peak_words
+
 (* ------------------------------------------------------------------ *)
 (* Observability never changes warnings (acceptance criterion)        *)
 
@@ -535,6 +578,8 @@ let suite =
         `Quick test_metrics_schema_stealing;
       Alcotest.test_case "disabled handle exports empty sections" `Quick
         test_disabled_document;
+      Alcotest.test_case "GC samples between windows, opt-in heap walk"
+        `Quick test_gc_windows;
       Alcotest.test_case "observability never changes warnings" `Quick
         test_invariance;
       Alcotest.test_case "cpu/wall split and shard accounting" `Quick

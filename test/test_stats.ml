@@ -75,6 +75,37 @@ let test_rules_merge () =
     Alcotest.(check int) "top hits" 8 n
   | [] -> Alcotest.fail "rules_alist empty after merge"
 
+(* Tied rules come out by name, so every plan lists a run's rules in
+   one order: a one-unit sum, a static-plan and a stealing-plan merge
+   of the same counts all equal the sequential run's list (colt with
+   static elimination leaves all seven FastTrack rules tied at 0). *)
+let test_rules_order () =
+  let s = Stats.create () in
+  List.iter (Stats.bump_rule s) [ "B"; "C"; "A"; "C" ];
+  Alcotest.(check (list (pair string int)))
+    "count, then name" [ ("C", 2); ("A", 1); ("B", 1) ]
+    (Stats.rules_alist s);
+  let w = Option.get (Workloads.find "colt") in
+  let tr = Workload.trace ~seed:11 ~scale:1 w in
+  let skip =
+    Static.eliminator ~granularity:Var.Fine
+      (Static.analyze (w.Workload.program ~scale:1))
+  in
+  let config = Config.with_static_elim skip Config.default in
+  let seq = (Driver.run ~config (module Fasttrack) tr).Driver.stats in
+  let rules = Stats.rules_alist seq in
+  let check label st =
+    Alcotest.(check (list (pair string int))) label rules (Stats.rules_alist st)
+  in
+  check "Stats.sum [s]" (Stats.sum [ seq ]);
+  List.iter
+    (fun plan ->
+      check
+        (Shard.kind_to_string plan ^ " -j 2")
+        (Driver.run_parallel ~config ~jobs:2 ~plan (module Fasttrack) tr)
+          .Driver.stats)
+    [ Shard.Static; Shard.Stealing ]
+
 let test_sum () =
   let parts =
     List.init 4 (fun i ->
@@ -120,6 +151,8 @@ let suite =
       Alcotest.test_case "peak_words merges as sum of peaks" `Quick
         test_peak_words_sum;
       Alcotest.test_case "rule histograms merge" `Quick test_rules_merge;
+      Alcotest.test_case "rule order is the same under every plan" `Quick
+        test_rules_order;
       Alcotest.test_case "sum over a list" `Quick test_sum;
       Alcotest.test_case "fields_alist covers every scalar" `Quick
         test_fields_alist ] )
