@@ -83,25 +83,19 @@ let record_to_json r =
     r.warnings r.imbalance r.static_elim r.dropped_frac prefix_fields
     sampling_fields static_field
 
-(* Honesty marker: set when the harness ran parallel experiments on a
-   host below the 4-core floor with --allow-few-cores.  Readers (CI,
-   README refresh scripts) must treat such speedup cells as
-   unmeasured. *)
-let few_cores_override = ref false
-let set_few_cores_override v = few_cores_override := v
-
 let write ~scale ~repeat path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       Printf.fprintf oc
-        "{\"host\":{\"cores\":%d,\"ocaml\":\"%s\",\"word_size\":%d%s},\n\
+        "{\"host\":{\"cores\":%d,\"ocaml\":\"%s\",\"word_size\":%d,\
+         \"profile\":\"%s\"},\n\
         \ \"scale\":%d,\"repeat\":%d,\n\
         \ \"records\":[\n"
         (Obs_cores.recommended ())
         (escape Sys.ocaml_version) Sys.word_size
-        (if !few_cores_override then ",\"few_cores_override\":true" else "")
+        (escape Build_profile.name)
         scale repeat;
       let rs = recorded () in
       List.iteri

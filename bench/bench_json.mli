@@ -7,7 +7,7 @@
     by hand (no JSON library in the image), shaped as
 
     {v
-    { "host": { "cores": 4, "ocaml": "5.1.1", ... },
+    { "host": { "cores": 4, "ocaml": "5.1.1", "profile": "release", ... },
       "records": [ { "experiment": "parallel", ... }, ... ] }
     v} *)
 
@@ -19,8 +19,8 @@ type record = {
   plan : string;
       (** which parallel plan produced the row:
           [Shard.kind_to_string] (["static"] / ["stealing"]) for
-          parallel rows, ["seq"] for sequential ones — so regression
-          tooling can compare like with like across the plan switch *)
+          parallel rows, ["seq"] for sequential ones — so readers
+          can compare like with like across the plan switch *)
   events : int;         (** trace length *)
   elapsed : float;      (** seconds (wall for parallel runs) *)
   throughput : float;   (** events / elapsed second; 0 when elapsed
@@ -61,8 +61,8 @@ type record = {
       (** sampling-tier rows only: the configured sampling rate of
           this cell.  [-1.] (omitted from the JSON) for every other
           experiment.  The rate is also encoded in [tool]
-          (["Sampling@0.10"]) so history keys distinguish sweep
-          points. *)
+          (["Sampling@0.10"]) so readers keying on [tool] distinguish
+          sweep points. *)
   recall : float;
       (** sampling-tier rows only: fraction of the FastTrack oracle's
           racy variables this cell's run warned about.  [-1.]
@@ -87,18 +87,10 @@ val recorded : unit -> record list
 
 val reset : unit -> unit
 
-val record_to_json : record -> string
-(** One record as a single-line JSON object — the element shape of
-    {!write}'s ["records"] array, reused by the bench-history log so
-    both sides of a {!Bench_history.report} diff parse identically. *)
-
-val set_few_cores_override : bool -> unit
-(** Mark the run as having forced parallel experiments on a
-    sub-4-core host (the [--allow-few-cores] escape hatch): {!write}
-    then stamps ["few_cores_override": true] into the host header so
-    no reader mistakes the speedup cells for multicore measurements. *)
-
 val write : scale:int -> repeat:int -> string -> unit
 (** [write ~scale ~repeat path] dumps host metadata — core count,
-    OCaml version, the few-cores marker when set — and every
-    accumulated record to [path]. *)
+    OCaml version, word size, the dune build profile the harness was
+    built under — and every accumulated record to [path].  A host
+    with fewer than 4 cores only writes parallel records under
+    [--allow-few-cores], so [cores] alone tells a reader whether the
+    speedup cells are multicore measurements. *)

@@ -13,8 +13,10 @@
 
    This experiment measures the throughput axis — wall-clock speedup
    over the sequential driver at 1/2/4/8 workers, per plan — and
-   re-checks the precision axis: the merged warning list must be
-   identical to the sequential one on every measured workload.
+   re-checks the precision axis: the sequential run must report the
+   workload's [expected_races] warnings, and the merged warning list
+   must be identical to the sequential one on every measured
+   workload.  Either failure aborts the run.
 
    Speedup is bounded by the host's core count (reported below; CI
    runners have several, the paper's overhead argument is per-core).
@@ -89,6 +91,13 @@ let run ~scale ~repeat () =
         in
         let base = Bench_common.base_time ~repeat tr in
         let seq_result = Driver.run d tr in
+        let seq_warnings = List.length seq_result.Driver.warnings in
+        if seq_warnings <> w.expected_races then
+          failwith
+            (Printf.sprintf
+               "%s: sequential run reported %d warning(s), the workload \
+                expects %d; precision regression"
+               w.name seq_warnings w.expected_races);
         let seq_elapsed =
           best_wall ~repeat (fun () -> ignore (Driver.run d tr))
         in
@@ -98,7 +107,7 @@ let run ~scale ~repeat () =
             throughput = Bench_json.throughput ~events ~elapsed:seq_elapsed;
             slowdown = Bench_common.slowdown seq_elapsed base;
             speedup = 1.0;
-            warnings = List.length seq_result.Driver.warnings;
+            warnings = seq_warnings;
             imbalance = 1.0; static_elim = false; dropped_frac = 0.;
             prefix_wall = 0.; prefix_frac = 0.; amdahl_ceiling = 0.;
             rate = -1.; recall = -1.; static_ms = -1. };
@@ -117,7 +126,7 @@ let run ~scale ~repeat () =
             failwith
               (Printf.sprintf
                  "%s: parallel (%d jobs, %s) warnings differ from \
-                  sequential — precision regression"
+                  sequential; precision regression"
                  w.name jobs
                  (Shard.kind_to_string plan));
           let best, elapsed =
@@ -167,5 +176,6 @@ let run ~scale ~repeat () =
     workload_names;
   Table.print t;
   print_endline
-    "(precision re-checked: every parallel run above produced warnings \
-     byte-identical to the sequential run)"
+    "(precision re-checked: every sequential run above reported its \
+     workload's expected warning count, and every parallel run \
+     produced warnings byte-identical to it)"

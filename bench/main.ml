@@ -5,7 +5,7 @@
      dune exec bench/main.exe            -- all experiments
      dune exec bench/main.exe -- table1  -- one experiment
      dune exec bench/main.exe -- --scale 4 --repeat 5 table1
-     dune exec bench/main.exe -- --json BENCH_parallel.json parallel
+     dune exec bench/main.exe -- --json bench-parallel.json parallel
 
    --json FILE additionally writes every machine-readable record the
    chosen experiments pushed (tool / elapsed / slowdown / warning
@@ -40,22 +40,17 @@ let experiments :
 
 (* Experiments whose headline numbers are multicore speedups: running
    them on a starved host produces cells that look like measurements
-   but are noise (the committed BENCH_parallel.json was once exactly
-   that — every jobs>1 cell < 1x on a 1-core container).  Refuse below
-   the floor unless the caller owns the decision with
-   --allow-few-cores; the override is stamped into the JSON host
-   header so downstream readers can tell. *)
+   but are noise (every jobs>1 cell < 1x on a 1-core container).
+   Refuse below the floor unless the caller owns the decision with
+   --allow-few-cores; the JSON host header always records the core
+   count, so downstream readers can tell. *)
 let parallel_experiments = [ "parallel" ]
 let min_cores = 4
 
 let usage () =
   prerr_endline
     "usage: main.exe [--scale N] [--repeat N] [--json FILE] \
-     [--metrics FILE] [--history DIR] [--allow-few-cores] \
-     [experiment ...]";
-  prerr_endline
-    "       main.exe history --history DIR [--baseline FILE] \
-     [--tolerance F]";
+     [--metrics FILE] [--allow-few-cores] [experiment ...]";
   Printf.eprintf "experiments: %s (default: all)\n"
     (String.concat " " (List.map fst experiments));
   exit 2
@@ -65,10 +60,6 @@ let () =
   let repeat = ref 3 in
   let json = ref None in
   let metrics = ref None in
-  let history = ref None in
-  let baseline = ref "BENCH_parallel.json" in
-  let tolerance = ref 0.25 in
-  let history_report = ref false in
   let allow_few_cores = ref false in
   let chosen = ref [] in
   let rec parse = function
@@ -85,18 +76,6 @@ let () =
     | "--metrics" :: path :: rest ->
       metrics := Some path;
       parse rest
-    | "--history" :: dir :: rest ->
-      history := Some dir;
-      parse rest
-    | "--baseline" :: path :: rest ->
-      baseline := path;
-      parse rest
-    | "--tolerance" :: v :: rest ->
-      tolerance := float_of_string v;
-      parse rest
-    | "history" :: rest ->
-      history_report := true;
-      parse rest
     | "--allow-few-cores" :: rest ->
       allow_few_cores := true;
       parse rest
@@ -106,18 +85,6 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !history_report then begin
-    (* `history` is a report-only pseudo-command: diff the history log
-       against the committed baseline and exit; no experiment runs. *)
-    match !history with
-    | None ->
-      prerr_endline "history: --history DIR is required";
-      exit 2
-    | Some dir ->
-      exit
-        (Bench_history.report ~dir ~baseline:!baseline
-           ~tolerance:!tolerance)
-  end;
   let chosen =
     match List.rev !chosen with
     | [] -> List.map fst experiments
@@ -128,19 +95,17 @@ let () =
     List.exists (fun n -> List.mem n parallel_experiments) chosen
   in
   if wants_parallel && cores < min_cores then
-    if !allow_few_cores then begin
-      Bench_json.set_few_cores_override true;
+    if !allow_few_cores then
       Printf.eprintf
         "warning: running parallel experiments on %d core(s) (< %d); \
-         speedup cells are NOT multicore measurements (host header \
-         carries few_cores_override)\n"
+         speedup cells are NOT multicore measurements (the JSON host \
+         header records the core count)\n"
         cores min_cores
-    end
     else begin
       Printf.eprintf
         "error: parallel experiments need >= %d cores, host has %d; \
-         pass --allow-few-cores to run anyway (results will be marked \
-         as unmeasured)\n"
+         pass --allow-few-cores to run anyway (speedup cells will not \
+         be multicore measurements)\n"
         min_cores cores;
       exit 3
     end;
@@ -161,9 +126,6 @@ let () =
       print_newline ())
     chosen;
   Option.iter (Bench_json.write ~scale:!scale ~repeat:!repeat) !json;
-  Option.iter
-    (fun dir -> Bench_history.append ~dir ~scale:!scale ~repeat:!repeat)
-    !history;
   Option.iter
     (fun path ->
       Obs.gc_sample_final obs;

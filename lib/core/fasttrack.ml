@@ -29,9 +29,9 @@ type var_state = {
    cell and its arrays are billed by the census separately *)
 let var_state_words = 9
 
-(* Profiler rule registry: indices are the [Obs_prof.hit] arguments
-   below; classes follow Figure 5's cost column — READ SHARED is an
-   O(1) slot update, only READ SHARE and WRITE SHARED walk a VC. *)
+(* Profiler rule registry: indices into [Obs_prof.cell_rules]; classes
+   follow Figure 5's cost column — READ SHARED is an O(1) slot update,
+   only READ SHARE and WRITE SHARED walk a VC. *)
 let ri_r_same = 0
 and ri_r_shared = 1
 and ri_r_excl = 2
@@ -61,10 +61,9 @@ type t = {
   recorder : Obs_recorder.t;
   rec_on : bool;
   (* shadow-state profiler (Obs_prof), same cached-bool idiom.  The
-     timing-sample countdown lives here rather than behind
-     [Obs_prof.sample_due]: one decrement of an already-hot record
-     field per access instead of a cross-module call (measured on the
-     bench profile overhead gate). *)
+     timing-sample countdown lives here: one decrement of an
+     already-hot record field per access instead of a cross-module
+     call (measured on the bench profile overhead gate). *)
   prof : Obs_prof.t;
   prof_on : bool;
   prof_stride : int;

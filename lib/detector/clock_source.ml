@@ -13,8 +13,6 @@ let create (config : Config.t) stats =
   | Some tl -> Shared (Sync_timeline.cursor tl)
   | None -> Live (Vc_state.create ~prof:config.Config.prof stats)
 
-let is_shared = function Live _ -> false | Shared _ -> true
-
 let handle_sync cs e =
   match cs with
   | Live s -> Vc_state.handle_sync s e

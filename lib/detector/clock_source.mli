@@ -35,8 +35,6 @@ val create : Config.t -> Stats.t -> t
     cursor into [config.sync_source]'s timeline.  One per detector
     instance: cursors are private and must not cross domains. *)
 
-val is_shared : t -> bool
-
 val handle_sync : t -> Event.t -> bool
 (** Live: {!Vc_state.handle_sync} (applies the rule, returns [true]
     for non-access events).  Shared: [true] for non-access events

@@ -14,7 +14,6 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 let instantiate (module D : S) config = Packed ((module D), D.create config)
 let packed_name (Packed ((module D), _)) = D.name
-let packed_shares_clocks (Packed ((module D), _)) = D.shares_clocks
 
 let packed_on_event (Packed ((module D), d)) ~index e =
   D.on_event d ~index e

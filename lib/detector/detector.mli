@@ -44,7 +44,6 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 val instantiate : (module S) -> Config.t -> packed
 val packed_name : packed -> string
-val packed_shares_clocks : packed -> bool
 val packed_on_event : packed -> index:int -> Event.t -> unit
 
 (** [packed_handler p] destructures [p] once and returns the plain

@@ -1,9 +1,5 @@
 type mode = Fine | Coarse | Adaptive
 
-let mode_of_granularity = function
-  | Var.Fine -> Fine
-  | Var.Coarse -> Coarse
-
 type 'a t = {
   mode : mode;
   mutable objs : 'a option array array;  (* outer: obj id, inner: field *)

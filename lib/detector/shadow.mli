@@ -19,8 +19,6 @@
 
 type mode = Fine | Coarse | Adaptive
 
-val mode_of_granularity : Var.granularity -> mode
-
 type 'a t
 
 val create : mode -> 'a t

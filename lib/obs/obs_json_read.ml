@@ -3,8 +3,7 @@
    The image ships no JSON library, and until now the only parser in
    the tree lived in test/test_obs.ml — fine while JSON was only ever
    *written* by the tools.  The live telemetry bus changes that:
-   `ftrace watch` consumes ftrace.live/1 NDJSON records and
-   `bench history` re-reads its own benchmark documents, so the reader
+   `ftrace watch` consumes ftrace.live/1 NDJSON records, so the reader
    moves into ft_obs next to the writer (Obs_json) it mirrors. *)
 
 type t =

@@ -1,7 +1,6 @@
 (** Minimal JSON reader, the inverse of {!Obs_json} (no JSON library
-    in the image).  Consumers: [ftrace watch] (ftrace.live/1 NDJSON),
-    [bench history] (benchmark documents), and the test suite's schema
-    assertions.
+    in the image).  Consumers: [ftrace watch] (ftrace.live/1 NDJSON)
+    and the test suite's schema assertions.
 
     Numbers are parsed as floats (JSON has one number type); use
     {!to_int}/{!int} for counters, which our writers always emit

@@ -59,7 +59,6 @@ type t = enabled option
 type pub = (enabled * worker_pub) option
 
 let disabled : t = None
-let pub_disabled : pub = None
 let is_enabled = Option.is_some
 
 (* ------------------------------------------------------------------ *)

@@ -33,7 +33,6 @@ type t
 type pub
 
 val disabled : t
-val pub_disabled : pub
 val is_enabled : t -> bool
 
 val open_sink : string -> (out_channel * bool, string) result

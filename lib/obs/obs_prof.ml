@@ -58,15 +58,9 @@ type enabled = {
   mutable sync_vc_ops : int;
   mutable tot_inflations : int;
   mutable tot_deflations : int;
-  (* timing sampler *)
-  mutable sampling : bool;
-      (* a timing sample is pending: the next hit must record its cell.
-         Gates the [last_cell] pointer store — unconditional, it would
-         run the GC write barrier once per access (measured ~15% on
-         moldyn); gated, the common path is one immediate-bool test. *)
+  (* timing sampler: the cell and class of the access being timed *)
   mutable last_cell : cell;
   mutable last_vc : bool;
-  mutable countdown : int;
   buckets_fast : int array;
   buckets_vc : int array;
   mutable t_samples : int;
@@ -110,10 +104,8 @@ let make ~topk_cap ~stride ~series_cap ~start =
     sync_vc_ops = 0;
     tot_inflations = 0;
     tot_deflations = 0;
-    sampling = false;
     last_cell = no_cell;
     last_vc = false;
-    countdown = stride;
     buckets_fast = Array.make buckets_n 0;
     buckets_vc = Array.make buckets_n 0;
     t_samples = 0;
@@ -163,80 +155,13 @@ let cell (t : t) ~key ~name =
       Hashtbl.replace e.cells key c;
       c)
 
-let hit (t : t) c i =
-  match t with
-  | None -> ()
-  | Some e ->
-    c.c_rules.(i) <- c.c_rules.(i) + 1;
-    (match e.rule_classes.(i) with
-    | Same_epoch ->
-      e.tot_same <- e.tot_same + 1;
-      if e.sampling then begin
-        e.last_cell <- c;
-        e.last_vc <- false
-      end
-    | Epoch ->
-      e.tot_epoch <- e.tot_epoch + 1;
-      if e.sampling then begin
-        e.last_cell <- c;
-        e.last_vc <- false
-      end
-    | Vc ->
-      e.tot_vc <- e.tot_vc + 1;
-      if e.sampling then begin
-        e.last_cell <- c;
-        e.last_vc <- true
-      end)
-
-(* Class-specialized hit variants for detectors whose rule sites know
-   their Figure 5 cost class statically (FastTrack's seven rules):
-   they skip the [rule_classes] lookup and dispatch above, leaving the
-   common path at two counter increments and one immediate-bool test.
-   The [i lsr] guard is dropped deliberately — cell rule arrays are
-   never smaller than [max_rules] (16) and every static rule index is
-   below it, so the unsafe accesses are in bounds by construction. *)
-
-let hit_same (t : t) c i =
-  match t with
-  | None -> ()
-  | Some e ->
-    Array.unsafe_set c.c_rules i (Array.unsafe_get c.c_rules i + 1);
-    e.tot_same <- e.tot_same + 1;
-    if e.sampling then begin
-      e.last_cell <- c;
-      e.last_vc <- false
-    end
-
-let hit_epoch (t : t) c i =
-  match t with
-  | None -> ()
-  | Some e ->
-    Array.unsafe_set c.c_rules i (Array.unsafe_get c.c_rules i + 1);
-    e.tot_epoch <- e.tot_epoch + 1;
-    if e.sampling then begin
-      e.last_cell <- c;
-      e.last_vc <- false
-    end
-
-let hit_vc (t : t) c i =
-  match t with
-  | None -> ()
-  | Some e ->
-    Array.unsafe_set c.c_rules i (Array.unsafe_get c.c_rules i + 1);
-    e.tot_vc <- e.tot_vc + 1;
-    if e.sampling then begin
-      e.last_cell <- c;
-      e.last_vc <- true
-    end
-
-(* The fully-inlined protocol: a detector that already counts rule
-   hits in its own registers (FastTrack's [Stats.counter] refs) keeps
-   {e only} the per-cell increment on its hot path — through the raw
-   array {!cell_rules} hands out, no call, no option match — and
-   reconciles the class totals at sample and census boundaries via
-   {!note_totals}.  {!attribute} replaces the [hit] family's
-   last-cell bookkeeping for the one access per stride that is being
-   timed. *)
+(* The inlined protocol: a detector that already counts rule hits in
+   its own registers (FastTrack's [Stats.counter] refs) keeps {e only}
+   the per-cell increment on its hot path — through the raw array
+   {!cell_rules} hands out, no call, no option match — and reconciles
+   the class totals at sample and census boundaries via
+   {!note_totals}.  {!attribute} records the cell of the one access
+   per stride that is being timed. *)
 
 let cell_rules c = c.c_rules
 
@@ -277,22 +202,7 @@ let sync_vc_op (t : t) =
 (* ------------------------------------------------------------------ *)
 (* Sampled timing + counter-track series                              *)
 
-let sample_due (t : t) =
-  match t with
-  | None -> false
-  | Some e ->
-    e.countdown <- e.countdown - 1;
-    if e.countdown <= 0 then begin
-      e.countdown <- e.stride;
-      e.sampling <- true;
-      true
-    end
-    else false
-
 let sample_stride (t : t) = match t with None -> 0 | Some e -> e.stride
-
-let begin_sample (t : t) =
-  match t with None -> () | Some e -> e.sampling <- true
 
 let log2_bucket ns =
   let n = int_of_float ns in
@@ -333,7 +243,6 @@ let sample (t : t) ~ns =
   match t with
   | None -> ()
   | Some e ->
-    e.sampling <- false;
     let c = e.last_cell in
     c.c_ns <- c.c_ns +. ns;
     c.c_samples <- c.c_samples + 1;

@@ -18,11 +18,11 @@
     {b Cost model} (measured by [bench profile], gated at <= 10% on
     moldyn): disabled, the handle is an immediate [None] — detectors
     cache one [prof_on : bool] and pay a single predictable branch
-    per access.  Enabled, an access costs one array increment, one
-    class-total increment and two stores ({!hit}), plus a countdown
-    decrement for the timing sampler ({!sample_due}); the clock is
-    only read once per [sample_stride] accesses.  Census, top-K folds
-    and exports run off the hot path entirely.
+    per access.  Enabled, an access costs one increment of the cell's
+    rule counter ({!cell_rules}) plus a countdown decrement the
+    detector keeps for the timing sampler; the clock is only read
+    once per {!sample_stride} accesses.  Census, top-K folds and
+    exports run off the hot path entirely.
 
     Like the other [lib/obs] facilities, this module sits below the
     detector library: it deals in integer keys and display names, not
@@ -66,7 +66,7 @@ val create :
 
 val register_rules : t -> (string * rule_class) array -> unit
 (** Declare the detector's rule set once, at instance creation.
-    {!hit} indices refer to positions in this array. *)
+    {!cell_rules} indices refer to positions in this array. *)
 
 val no_cell : cell
 (** Placeholder for shadow states created while profiling is
@@ -77,32 +77,14 @@ val cell : t -> key:int -> name:string -> cell
     path: once per variable).  [name] is the display name warnings
     use (e.g. ["x3.1"]). *)
 
-val hit : t -> cell -> int -> unit
-(** Attribute one access resolved by rule [i] to [cell].  The hot
-    hook: callers must guard with a cached [is_enabled] bool so the
-    disabled cost stays one branch.  Resolves the rule's cost class
-    through the registered rule array; rule sites that know their
-    class statically should call the specialized variant instead. *)
-
-val hit_same : t -> cell -> int -> unit
-val hit_epoch : t -> cell -> int -> unit
-
-val hit_vc : t -> cell -> int -> unit
-(** {!hit} specialized to a statically-known cost class, skipping the
-    class lookup.  [i] must be a registered rule index below
-    the registered rule count (and the 16-slot cell floor) — the
-    arrays are accessed unchecked. *)
-
 val cell_rules : cell -> int array
-(** The cell's raw per-rule counter array, for detectors that inline
-    the increment itself (cache the array next to the shadow state,
-    bump [a.(i)] directly).  A detector on this protocol must also
+(** The cell's raw per-rule counter array: detectors cache it next to
+    the shadow state and bump [a.(i)] directly.  A detector must also
     call {!note_totals} whenever the profiler is about to read global
     state — before each {!sample} and at the start of its census
-    walker — and {!attribute} on the access being timed; the [hit]
-    family must not be mixed in (the totals would double-count).
-    This is the protocol the overhead gate in [bench profile] prices:
-    the per-access cost is one array increment plus one cached-bool
+    walker — and {!attribute} on the access being timed.  This is the
+    protocol the overhead gate in [bench profile] prices: the
+    per-access cost is one array increment plus one cached-bool
     test. *)
 
 val attribute : t -> cell -> vc:bool -> unit
@@ -133,26 +115,17 @@ val sync_vc_op : t -> unit
 
 (** {2 Sampled timing} *)
 
-val sample_due : t -> bool
-(** Decrement the sample countdown; [true] once every
-    [sample_stride] calls (always [false] disabled).  The caller
-    brackets the access with [Obs_clock.now] and reports {!sample}. *)
-
 val sample_stride : t -> int
-(** The configured sample period (0 disabled).  Detectors that keep
-    the countdown in their own record — one register decrement per
-    access instead of a cross-module {!sample_due} call — read it
-    once at creation and call {!begin_sample} when their countdown
-    expires. *)
-
-val begin_sample : t -> unit
-(** A timing sample is starting: the next {!hit} records its cell and
-    cost class for {!sample} to attribute. *)
+(** The configured sample period (0 disabled).  Detectors keep the
+    countdown in their own record — one register decrement per
+    access — read this once at creation, and when their countdown
+    expires bracket the access with [Obs_clock.now], call
+    {!attribute} from the rule that fires, and report {!sample}. *)
 
 val sample : t -> ns:float -> unit
 (** Record a sampled access duration, attributed to the cell and cost
-    class of the last {!hit}, into log2-ns buckets; also advances the
-    counter-track series. *)
+    class of the last {!attribute}, into log2-ns buckets; also
+    advances the counter-track series. *)
 
 (** {2 Census} *)
 

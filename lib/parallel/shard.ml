@@ -225,10 +225,6 @@ let route_segment ?(factor = default_steal_factor) ?skip ~jobs ~lo ~hi tr =
   { sr_lo = lo; sr_hi = hi; sr_bufs = bufs; sr_sync = sync;
     sr_max_tid = !max_tid; sr_eliminated = !eliminated }
 
-let route_bounds r = (r.sr_lo, r.sr_hi)
-let route_max_tid r = r.sr_max_tid
-let route_sync_length r = r.sr_sync.len
-
 let route_iter_sync r f =
   let b = r.sr_sync in
   for i = 0 to b.len - 1 do

@@ -16,7 +16,7 @@
       sequence.  Simple, but the replay costs [jobs] x O(sync·VC)
       redundant work and the modulo split can strand hot objects on
       one shard — the measured causes of the original driver's
-      anti-scaling (see BENCH_parallel.json history and DESIGN.md).
+      anti-scaling (see DESIGN.md).
     - {!plan_stealing} ({e work stealing}): [factor x jobs]
       fine-grained items of {e access events only} ([obj mod slots]),
       sorted longest-first; sync state is resolved against the shared
@@ -133,15 +133,6 @@ val route_segment :
     of the segment: safe to run concurrently for disjoint segments
     ([skip] must itself be safe for concurrent calls — the certified
     sets built by [Static] are read-only hash tables, which are). *)
-
-val route_bounds : segment_route -> int * int
-(** The [(lo, hi)] range the segment covered. *)
-
-val route_max_tid : segment_route -> int
-(** Largest tid mentioned in the segment (0 if none). *)
-
-val route_sync_length : segment_route -> int
-(** Number of non-access events in the segment. *)
 
 val route_iter_sync : segment_route -> (int -> unit) -> unit
 (** Iterate the segment's non-access event indices in trace order —

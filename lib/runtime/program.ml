@@ -130,16 +130,6 @@ let make ?(barriers = []) ?roots threads =
 
 let thread_count p = List.length p.threads
 
-let has_tasks p =
-  List.exists
-    (fun th ->
-      let found = ref false in
-      iter_stmts
-        (function Async _ | Finish _ -> found := true | _ -> ())
-        th.body;
-      !found)
-    p.threads
-
 (* Structural fingerprint of the whole program shape.  Explicit
    recursion through a strong mixer — [Hashtbl.hash] truncates its
    traversal and would collide distinct bodies — so the certificate

@@ -73,10 +73,6 @@ val iter_stmts : (stmt -> unit) -> stmt list -> unit
 (** Pre-order iteration over a statement list, descending into
     [Finish] bodies (the [Finish] node itself is visited first). *)
 
-val has_tasks : t -> bool
-(** True iff the program uses the async-finish tier ([Async] or
-    [Finish] appears anywhere). *)
-
 val structural_hash : t -> int
 (** Deterministic fingerprint of the full program structure — every
     statement (recursively), thread ids, barriers, roots.  Any change
