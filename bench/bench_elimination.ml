@@ -72,7 +72,7 @@ let run ~scale ~repeat () =
         if r0.Driver.warnings <> r1.Driver.warnings then
           failwith
             (Printf.sprintf
-               "%s: warnings differ with static elimination on — \
+               "%s: warnings differ with static elimination on; \
                 soundness regression"
                w.Workload.name);
         let dropped_frac =

@@ -107,7 +107,7 @@ let run ~scale ~repeat () =
               then
                 failwith
                   (Printf.sprintf
-                     "%s: rate 1.0 warnings differ from FastTrack — \
+                     "%s: rate 1.0 warnings differ from FastTrack; \
                       precision regression"
                      w.Workload.name);
               let rec_ = mean_recall ~oracle ~rate d tr in

@@ -74,7 +74,7 @@ let run ~scale ~repeat () =
       if r0.Driver.warnings <> r1.Driver.warnings then
         failwith
           (Printf.sprintf
-             "%s: warnings differ with static elimination on — soundness \
+             "%s: warnings differ with static elimination on; soundness \
               regression"
              w.Workload.name);
       let certified = Static.elimination_ratio summary in

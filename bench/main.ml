@@ -15,7 +15,9 @@
    --metrics FILE enables the observability layer for the harness
    itself: one span per experiment on a shared wall-clock timeline,
    GC samples at experiment boundaries, and the Obs_export JSON
-   document written to FILE (schema ftrace.obs/1). *)
+   document written to FILE (schema ftrace.obs/2), whose top-level
+   "bench" object counts the experiments run and the records
+   pushed. *)
 
 let experiments :
     (string * (scale:int -> repeat:int -> unit -> unit)) list =
@@ -122,14 +124,18 @@ let () =
       Obs.gc_sample obs;
       Obs.span obs (Printf.sprintf "experiment.%s" name) (fun () ->
           (List.assoc name experiments) ~scale:!scale ~repeat:!repeat ());
-      Obs.bump obs "bench.experiments" 1;
       print_newline ())
     chosen;
   Option.iter (Bench_json.write ~scale:!scale ~repeat:!repeat) !json;
   Option.iter
     (fun path ->
       Obs.gc_sample_final obs;
-      Obs.bump obs "bench.records" (List.length (Bench_json.recorded ()));
-      Obs_export.write_file ~path obs;
+      Obs_export.write_file ~path obs
+        ~extra:
+          [ ("bench",
+             Obs_json.obj
+               [ ("experiments", Obs_json.int (List.length chosen));
+                 ("records",
+                  Obs_json.int (List.length (Bench_json.recorded ()))) ]) ];
       Printf.printf "wrote harness metrics to %s\n" path)
     !metrics

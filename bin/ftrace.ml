@@ -497,7 +497,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
         else Obs_recorder.disabled
       in
       (* The shadow-state profiler rides when --profile asks for the
-         ftrace.prof/1 export or --verbose-stats wants the panel; off,
+         ftrace.prof/2 export or --verbose-stats wants the panel; off,
          the detectors pay one cached-bool branch per access. *)
       let prof =
         if profile <> None || verbose_stats then Obs_prof.create ()
@@ -607,8 +607,8 @@ let analyze path tool granularity sampling jobs prefilter static_elim
           Driver.write_metrics ~source:path ~obs ~path:file result;
           if file <> "-" then Printf.printf "wrote metrics to %s\n" file)
         metrics;
-      (* The ftrace.prof/1 export: the run's merged profile (cells,
-         census, top-K, timing) plus the result's stats counters for
+      (* The ftrace.prof/2 export: the run's merged profile (cells,
+         census, ranking, timing) plus the result's stats counters for
          cross-checking. *)
       Option.iter
         (fun file ->
@@ -685,9 +685,9 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "metrics" ] ~docv:"FILE"
              ~doc:"Enable the observability layer and write its JSON \
-                   document (metric registry snapshot, span timeline \
+                   document (schema $(b,ftrace.obs/2): span timeline \
                    with per-shard durations, GC samples, run summary \
-                   with imbalance) to $(docv).")
+                   with stats and imbalance) to $(docv).")
   in
   let heap_walk =
     Arg.(value & flag
@@ -753,10 +753,10 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "profile" ] ~docv:"FILE"
              ~doc:"Enable the shadow-state profiler and write its JSON \
-                   document (schema $(b,ftrace.prof/1): per-variable \
+                   document (schema $(b,ftrace.prof/2): per-variable \
                    cost attribution with Figure 5 rule and cost-class \
                    counts, shadow census with inflation lifecycle, \
-                   heavy-hitter top-K table, sampled timing buckets) to \
+                   exact top-variable table, sampled timing buckets) to \
                    $(docv); $(b,-) writes to stdout.  See also \
                    $(b,ftrace profile) for the human panel.")
   in
@@ -1014,7 +1014,7 @@ let profile_cmd =
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the $(b,ftrace.prof/1) JSON document to \
+             ~doc:"Also write the $(b,ftrace.prof/2) JSON document to \
                    $(docv); $(b,-) writes to stdout.")
   in
   Cmd.v

@@ -15,7 +15,7 @@
       cheap epoch mode after a write.
 
     [obs] is the observability handle the driver threads through the
-    run (metrics registry, span timeline, GC sampler — see {!Obs}).
+    run (span timeline and GC sampler — see {!Obs}).
     It defaults to {!Obs.disabled}: instrumentation is compiled in
     but off, and the disabled path costs one closure selection
     outside the event loop (overhead budget: ≤5%% on the [parallel]

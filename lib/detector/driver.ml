@@ -27,22 +27,6 @@ let time f =
   let x = f () in
   (x, Sys.time () -. start)
 
-(* Post-run registry bookkeeping.  Cold path: only reached once per
-   run, and only does work when [obs] is enabled. *)
-let finish_metrics obs (stats : Stats.t) ~wall =
-  if Obs.is_enabled obs then begin
-    Obs.bump obs "driver.runs" 1;
-    Obs.bump obs "driver.events" stats.Stats.events;
-    Obs.bump obs "driver.accesses" (stats.Stats.reads + stats.Stats.writes);
-    Obs.bump obs "driver.eliminated" stats.Stats.eliminated;
-    Obs.observe obs "driver.run_wall_s" wall;
-    (* cross-check channel for Table 3: the hand-counted shadow words
-       next to the GC's own view of the heap (see the "gc" samples) *)
-    Obs.set_gauge obs "stats.peak_words" (float_of_int stats.Stats.peak_words);
-    Obs.set_gauge obs "stats.state_words"
-      (float_of_int stats.Stats.state_words)
-  end
-
 (* Flatten a detector's live counters into the plain record the
    telemetry bus publishes.  Only ever called on the domain that owns
    [st] (between the unit's windows, at publish granularity), so the
@@ -61,7 +45,7 @@ let live_counts (st : Stats.t) ~extra_elim ~warnings =
 
 (* Final live record, from the same merged counters the --metrics
    export writes — the stream's cumulative totals must equal the
-   ftrace.obs/1 document to the last integer.  [prof] (the run's
+   ftrace.obs/2 document to the last integer.  [prof] (the run's
    merged profiler, if any) contributes the final hot-variable
    standings. *)
 let finish_live ~prof live r ~wall =
@@ -71,20 +55,6 @@ let finish_live ~prof live r ~wall =
       ~fields:(Stats.fields_alist r.stats)
       ~rules:(Stats.rules_alist r.stats)
       ~warnings:(List.length r.warnings)
-
-(* Flight-recorder footprint gauges: cold, and only when both the
-   registry and the recorder are on (the default run has neither). *)
-let recorder_gauges obs recorder =
-  if Obs.is_enabled obs && Obs_recorder.is_enabled recorder then begin
-    Obs.set_gauge obs "recorder.vars_tracked"
-      (float_of_int (Obs_recorder.vars_tracked recorder));
-    Obs.set_gauge obs "recorder.recorded"
-      (float_of_int (Obs_recorder.recorded recorder));
-    Obs.set_gauge obs "recorder.dropped"
-      (float_of_int (Obs_recorder.dropped recorder));
-    Obs.set_gauge obs "recorder.approx_words"
-      (float_of_int (Obs_recorder.approx_words recorder))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The analysis unit: one detector instance over one event source.    *)
@@ -122,9 +92,9 @@ type outcome = {
 }
 
 (* Run one unit.  The detector gets private flight-recorder and
-   profiler views (fresh rings and lock picture, fresh cells and
-   sketch): units may run concurrently, and variable ownership makes
-   the views' keys disjoint, so [merge] moves them back.  [gc] takes
+   profiler views (fresh rings and lock picture, fresh cells): units
+   may run concurrently, and variable ownership makes the views' keys
+   disjoint, so [merge] moves them back.  [gc] takes
    the GC sampler's periodic samples (the sequential run only).
    [skip] is the certified-variable predicate: accesses it accepts
    never reach the detector, and since accesses cannot modify the sync
@@ -269,19 +239,7 @@ let merge (module D : Detector.S) config ?base ~groups ~plan_kind ~slots
 (* The end-of-run tail every driver shares.  Cold: once per run, and
    each step only does work when its hook is on. *)
 let finish config r =
-  let obs = config.Config.obs in
-  Obs.gc_sample_final obs;
-  finish_metrics obs r.stats ~wall:r.wall;
-  recorder_gauges obs config.Config.recorder;
-  if Obs.is_enabled obs && r.shards <> [||] then begin
-    Obs.set_gauge obs "shard.imbalance" r.imbalance;
-    if r.plan_kind = Shard.Stealing then begin
-      Obs.set_gauge obs "shard.slots" (float_of_int r.slots);
-      (* The Amdahl accounting the bench harness and CI gate read:
-         absolute prefix wall and its fraction of the run. *)
-      Obs.set_gauge obs "prefix.frac" (prefix_frac r)
-    end
-  end;
+  Obs.gc_sample_final config.Config.obs;
   finish_live ~prof:config.Config.prof config.Config.live r ~wall:r.wall;
   r
 
@@ -316,14 +274,6 @@ let run_static config ~jobs d tr =
   let obs = config.Config.obs in
   let live = config.Config.live in
   Obs.gc_sample obs;
-  if Obs.is_enabled obs then
-    (* The materialized plan costs one extra counting pass, so it is
-       taken only when tracing: it prices the broadcast term of the
-       cost model before any domain spawns. *)
-    Obs.span obs "plan" (fun () ->
-        let plan = Shard.plan ~jobs tr in
-        Obs.set_gauge obs "shard.plan_imbalance" (Shard.imbalance plan);
-        Obs.bump obs "shard.broadcast_events" plan.Shard.broadcast);
   Obs_live.set_phase live "analyze";
   let cpu0 = Sys.time () in
   let units, wall =
@@ -370,15 +320,6 @@ let stats_of_timeline (ts : Sync_timeline.stats) =
   Stats.add_words s ts.Sync_timeline.words;
   s
 
-let timeline_gauges obs (ts : Sync_timeline.stats) =
-  if Obs.is_enabled obs then begin
-    Obs.bump obs "timeline.sync_events" ts.Sync_timeline.sync_events;
-    Obs.bump obs "timeline.checkpoints" ts.Sync_timeline.checkpoints;
-    Obs.bump obs "timeline.snapshots" ts.Sync_timeline.snapshots;
-    Obs.bump obs "timeline.snapshot_hits" ts.Sync_timeline.snapshot_hits;
-    Obs.set_gauge obs "timeline.words" (float_of_int ts.Sync_timeline.words)
-  end
-
 (* Stealing plan: access-only items resolve sync lookups against the
    shared timeline (the item config's [sync_source]); cursor state is
    private to each instance, so items run concurrently. *)
@@ -403,7 +344,6 @@ let run_stealing config ~jobs d tr =
         in
         let plan = prefix.Prefix.plan in
         let timeline = prefix.Prefix.timeline in
-        timeline_gauges obs (Sync_timeline.stats timeline);
         (* The prefix's work — timeline replay events and routed-out
            (eliminated) accesses — is owned by no unit: it is the
            merge's base and, mid-run, the bus base. *)

@@ -16,10 +16,11 @@
     and one end-of-run tail.
 
     Observability: the drivers thread the {!Config.t}'s [obs] handle
-    through the run — phase spans ([plan] / [parallel.region] /
-    [shard-N] / [item-N] / [merge] for the parallel driver, [analyze]
-    for the sequential one), GC samples, and registry counters — and
-    {!write_metrics} dumps the whole document as JSON.  Each hook's
+    through the run — phase spans ([parallel.region] / [shard-N] /
+    [item-N] / [merge] for the parallel driver, [analyze] for the
+    sequential one) and GC samples — and {!write_metrics} dumps them
+    as JSON next to the run's own figures ({!result_json}), which are
+    their only copy.  Each hook's
     branch is chosen once per unit, outside the event loop: with every
     hook off the loop calls the detector's own handler over the whole
     source, so a disabled run pays nothing per event; with the live
@@ -144,10 +145,10 @@ val run_parallel :
     time and warning counts, and [imbalance] summarizes them.  With
     observability enabled the run additionally records [prefix] (with
     [prefix.route] / [prefix.timeline]) / [parallel.region] /
-    per-task / [merge] spans on one wall-clock timeline, plus
-    [timeline.*], [shard.*] and [prefix.*] gauges — the latter making
-    the serial-prefix fraction visible in the [ftrace.obs/1]
-    document. *)
+    per-task / [merge] spans on one wall-clock timeline; the
+    [prefix.timeline] span carries the sync timeline's counts as
+    attributes, and the serial-prefix fraction is the run section's
+    [prefix_frac]. *)
 
 val parallel_plan :
   ?config:Config.t -> ?plan:Shard.kind -> (module Detector.S) ->
@@ -183,7 +184,7 @@ val result_json : ?source:string -> result -> Obs_json.t
 val export_metrics : ?source:string -> obs:Obs.t -> result -> string
 (** The complete [--metrics] JSON document ({!Obs_export.document}
     with the run section attached) as a string; schema
-    ["ftrace.obs/1"], asserted by [test/test_obs.ml]. *)
+    ["ftrace.obs/2"], asserted by [test/test_obs.ml]. *)
 
 val write_metrics :
   ?source:string -> obs:Obs.t -> path:string -> result -> unit

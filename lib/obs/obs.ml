@@ -1,5 +1,4 @@
 type enabled = {
-  metrics : Obs_metrics.t;
   spans : Obs_span.t;
   gc : Obs_gc.t;
 }
@@ -10,12 +9,10 @@ let disabled = None
 
 let create ?gc_every ?heap_walk () =
   Some
-    { metrics = Obs_metrics.create ();
-      spans = Obs_span.create ();
+    { spans = Obs_span.create ();
       gc = Obs_gc.create ?every:gc_every ?heap_walk () }
 
 let is_enabled = Option.is_some
-let metrics t = Option.map (fun e -> e.metrics) t
 let spans t = Option.map (fun e -> e.spans) t
 let gc t = Option.map (fun e -> e.gc) t
 
@@ -39,31 +36,3 @@ let gc_sample_final = function
 let gc_window = function
   | None -> None
   | Some e -> Some (Obs_gc.every e.gc, fun () -> Obs_gc.sample_now e.gc)
-
-let counter t name =
-  match t with None -> None | Some e -> Some (Obs_metrics.counter e.metrics name)
-
-let bump t name n =
-  match t with
-  | None -> ()
-  | Some e -> Obs_metrics.add (Obs_metrics.counter e.metrics name) n
-
-let set_gauge t name v =
-  match t with
-  | None -> ()
-  | Some e -> Obs_metrics.set (Obs_metrics.gauge e.metrics name) v
-
-let observe t name v =
-  match t with
-  | None -> ()
-  | Some e -> Obs_metrics.observe (Obs_metrics.histogram e.metrics name) v
-
-let shard_view = function
-  | None -> None
-  | Some e -> Some { e with metrics = Obs_metrics.create () }
-
-let merge ~into src =
-  match (into, src) with
-  | Some into, Some src ->
-    Obs_metrics.merge_into ~into:into.metrics src.metrics
-  | _ -> ()

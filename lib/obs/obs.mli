@@ -1,20 +1,20 @@
-(** Observability facade: one handle bundling a metrics registry
-    ({!Obs_metrics}), a span sink ({!Obs_span}) and a GC sampler
-    ({!Obs_gc}), with a single [enabled] guard.
+(** Observability facade: one handle bundling a span sink
+    ({!Obs_span}) and a GC sampler ({!Obs_gc}), with a single
+    [enabled] guard.  The run's figures themselves live in one place,
+    the driver's result record (the [run] section of the [--metrics]
+    document); this handle only adds what the record cannot hold: the
+    phase timeline and the heap samples.
 
     Everything is compiled in but {e off by default}: the pipeline
     threads {!disabled} (a shared, inert handle) unless the caller
     opts in with {!create}.  Every operation on a disabled handle is
-    one branch — in particular the hot-loop helpers are written so
-    callers can select an uninstrumented closure {e once}, outside
-    the loop (see the driver's analysis unit) — which is how the ≤5%%
-    overhead budget of ISSUE 2 is met with margin.
+    one branch, and the hooks are written so callers can select an
+    uninstrumented closure {e once}, outside the loop (see the
+    driver's analysis unit).
 
-    The handle is the unit of merging: the parallel driver gives each
-    shard {!shard_view} and {!merge}s the shard registries back after
-    the region, mirroring [Stats.merge_into]; spans and GC samples
-    from all shards go to the {e shared} (mutex-protected) sink so
-    the timeline stays global. *)
+    Parallel shards share the handle: spans and GC samples from all
+    shards go to the (mutex-protected) sink, so the timeline stays
+    global. *)
 
 type t
 
@@ -33,7 +33,6 @@ val is_enabled : t -> bool
 
 (** {2 Components (enabled handles only; [None] when disabled)} *)
 
-val metrics : t -> Obs_metrics.t option
 val spans : t -> Obs_span.t option
 val gc : t -> Obs_gc.t option
 
@@ -64,23 +63,3 @@ val gc_window : t -> (int * (unit -> unit)) option
     disabled.  The driver walks its event source in windows and calls
     [sample] at every position that is a multiple of [gc_every], so
     no GC hook runs per event. *)
-
-val counter : t -> string -> Obs_metrics.counter option
-val bump : t -> string -> int -> unit
-(** Cold-path convenience: registry lookup + add; no-op when
-    disabled.  Hot paths should hold the {!counter} handle instead. *)
-
-val set_gauge : t -> string -> float -> unit
-val observe : t -> string -> float -> unit
-(** Cold-path histogram observation by name. *)
-
-(** {2 Sharding} *)
-
-val shard_view : t -> t
-(** A handle for one shard of a parallel region: fresh {e private}
-    metrics registry (merge it back with {!merge}), {e shared} span
-    sink and GC sampler.  {!disabled} maps to itself. *)
-
-val merge : into:t -> t -> unit
-(** Merge a shard view's registry into the parent's ({!Obs_metrics.merge_into}).
-    No-op if either side is disabled. *)

@@ -4,7 +4,7 @@
     Every consumer of "how many cores does this host have" — the
     parallel driver's default job count ({!Domain_pool.recommended_jobs}
     delegates here), the [ftrace --jobs] oversubscription warning, and
-    the host headers of the [ftrace.obs/1], [ftrace.trace/1] and
+    the host headers of the [ftrace.obs/2], [ftrace.trace/1] and
     benchmark JSON documents — must read this helper, so the figure is
     consistent across one process and has a single override point. *)
 

@@ -1,13 +1,6 @@
-let schema_version = "ftrace.obs/1"
+let schema_version = "ftrace.obs/2"
 
 let document ?(extra = []) t =
-  let metrics =
-    match Obs.metrics t with
-    | Some m -> Obs_metrics.snapshot_to_json (Obs_metrics.snapshot m)
-    | None ->
-      Obs_metrics.snapshot_to_json
-        { Obs_metrics.counters = []; gauges = []; histograms = [] }
-  in
   let spans =
     match Obs.spans t with
     | Some s -> Obs_span.to_json s
@@ -26,7 +19,6 @@ let document ?(extra = []) t =
             ("ocaml", Obs_json.str Sys.ocaml_version);
             ("word_size", Obs_json.int Sys.word_size) ]);
        ("enabled", Obs_json.bool (Obs.is_enabled t));
-       ("metrics", metrics);
        ("spans", spans);
        ("gc", gc) ]
     @ extra)

@@ -1,17 +1,16 @@
 (** Assembling and writing the [--metrics FILE] JSON document.
 
-    Schema (version [ftrace.obs/1], asserted by [test/test_obs.ml]):
+    Schema (version [ftrace.obs/2], asserted by [test/test_obs.ml]):
     {v
-    { "schema": "ftrace.obs/1",
+    { "schema": "ftrace.obs/2",
       "host": { "cores": N, "ocaml": "...", "word_size": N },
-      "metrics": { "counters": {...}, "gauges": {...},
-                   "histograms": {...} },          (see Obs_metrics)
+      "enabled": bool,
       "spans":   [ {"name","start_s","duration_s","attrs"}, ... ],
       "gc":      [ {"at_s","major_words","heap_words",...}, ... ],
       ...caller extras (run info, detector stats, shard table) }
     v}
 
-    The document always carries the three observability sections —
+    The document always carries the two observability sections —
     empty when the handle is {!Obs.disabled} — so downstream tooling
     never branches on presence. *)
 

@@ -18,7 +18,7 @@
    - [finish] emits a final record carrying the run's exact cumulative
      counters (the same [Stats.fields_alist] the --metrics exporter
      writes), so a consumer can cross-check the stream against the
-     ftrace.obs/1 document to the last integer.
+     ftrace.obs/2 document to the last integer.
 
    The disabled handle follows the one-branch idiom of [Obs]: drivers
    select the instrumented closure once, outside the loop, so a run

@@ -22,7 +22,7 @@
     ["d"], and gauges ([evps], [fast_frac], [imbalance], [heap_words],
     [workers]); finally one [{"final":true}] record whose ["cum"]
     object carries the run's exact cumulative counters — the same
-    fields the [ftrace.obs/1] [--metrics] export writes, so the stream
+    fields the [ftrace.obs/2] [--metrics] export writes, so the stream
     can be cross-checked against it to the last integer.
 
     The disabled handle costs one branch at loop-selection time and

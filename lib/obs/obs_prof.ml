@@ -6,7 +6,7 @@
    through a pointer it already holds.  The cell table here exists
    for the cold sides only: census, merge, ranking, export. *)
 
-let schema_version = "ftrace.prof/1"
+let schema_version = "ftrace.prof/2"
 
 type rule_class = Same_epoch | Epoch | Vc
 
@@ -42,10 +42,12 @@ let no_cell =
 
 let buckets_n = 40  (* log2-ns buckets: 2^0 .. 2^39 ns *)
 
+(* Bound on each view's counter-track series; it thins by 2x and
+   doubles its stride when full. *)
+let series_cap = 512
+
 type enabled = {
-  topk_cap : int;
   stride : int;
-  series_cap : int;
   start : float;  (* monotonic epoch shared by all views of a run *)
   series_id : int;
   mutable rule_names : string array;
@@ -76,8 +78,6 @@ type enabled = {
   mutable series_n : int;
   mutable series_stride : int;  (* samples per point; doubles on thin *)
   mutable series_skip : int;
-  topk : Obs_topk.t;
-  mutable folded : bool;
 }
 
 type t = enabled option
@@ -89,10 +89,8 @@ let is_enabled = Option.is_some
    domains, so the counter is atomic. *)
 let next_id = Atomic.make 0
 
-let make ~topk_cap ~stride ~series_cap ~start =
-  { topk_cap;
-    stride;
-    series_cap;
+let make ~stride ~start =
+  { stride;
     start;
     series_id = Atomic.fetch_and_add next_id 1;
     rule_names = [||];
@@ -118,15 +116,10 @@ let make ~topk_cap ~stride ~series_cap ~start =
     series_rev = [];
     series_n = 0;
     series_stride = 1;
-    series_skip = 0;
-    topk = Obs_topk.create ~capacity:topk_cap ();
-    folded = false }
+    series_skip = 0 }
 
-let create ?(topk_capacity = 256) ?(sample_stride = 512)
-    ?(series_capacity = 512) () : t =
-  Some
-    (make ~topk_cap:(max 1 topk_capacity) ~stride:(max 1 sample_stride)
-       ~series_cap:(max 16 series_capacity) ~start:(Obs_clock.now ()))
+let create ?(sample_stride = 512) () : t =
+  Some (make ~stride:(max 1 sample_stride) ~start:(Obs_clock.now ()))
 
 (* ------------------------------------------------------------------ *)
 (* Detector-side hooks                                                *)
@@ -236,7 +229,7 @@ let push_point e =
         e.tot_vc )
       :: e.series_rev;
     e.series_n <- e.series_n + 1;
-    if e.series_n > e.series_cap then thin_series e
+    if e.series_n > series_cap then thin_series e
   end
 
 let sample (t : t) ~ns =
@@ -253,7 +246,7 @@ let sample (t : t) ~ns =
     push_point e
 
 (* ------------------------------------------------------------------ *)
-(* Census + top-K fold                                                *)
+(* Census                                                             *)
 
 let set_census (t : t) f =
   match t with None -> () | Some e -> e.census_cb <- Some f
@@ -269,18 +262,6 @@ let census_var (t : t) c ~inflated ~words ~rvc_words =
     c.c_inflated_now <- inflated;
     c.c_rvc_words <- rvc_words
 
-let cell_total c = Array.fold_left ( + ) 0 c.c_rules
-
-let fold_topk e =
-  if not e.folded then begin
-    Hashtbl.iter
-      (fun key c ->
-        let n = cell_total c in
-        if n > 0 then Obs_topk.hit ~by:n e.topk key)
-      e.cells;
-    e.folded <- true
-  end
-
 let take_census (t : t) =
   match t with
   | None -> ()
@@ -293,8 +274,7 @@ let take_census (t : t) =
       e.cs_words <- 0;
       e.cs_rvc_words <- 0;
       f ();
-      e.census_taken <- true);
-    fold_topk e
+      e.census_taken <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                           *)
@@ -302,12 +282,7 @@ let take_census (t : t) =
 let shard_view (t : t) : t =
   match t with
   | None -> None
-  | Some e ->
-    let v =
-      make ~topk_cap:e.topk_cap ~stride:e.stride ~series_cap:e.series_cap
-        ~start:e.start
-    in
-    Some v
+  | Some e -> Some (make ~stride:e.stride ~start:e.start)
 
 let merge_cell ~into:d c =
   let n = min (Array.length d.c_rules) (Array.length c.c_rules) in
@@ -354,9 +329,7 @@ let merge ~(into : t) (src : t) =
     d.cs_words <- d.cs_words + s.cs_words;
     d.cs_rvc_words <- d.cs_rvc_words + s.cs_rvc_words;
     d.series_rev <- s.series_rev @ d.series_rev;
-    d.series_n <- d.series_n + s.series_n;
-    Obs_topk.merge ~into:d.topk s.topk;
-    d.folded <- d.folded || s.folded
+    d.series_n <- d.series_n + s.series_n
 
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                          *)
@@ -379,6 +352,10 @@ let fast_frac (t : t) =
 let same_epoch_frac (t : t) =
   match t with None -> 0. | Some e -> frac e.tot_same (accesses t)
 
+let cell_total c = Array.fold_left ( + ) 0 c.c_rules
+
+(* The exact ranking every consumer reads: cells by attributed ops,
+   descending, ties by name. *)
 let ranked_cells e =
   Hashtbl.fold (fun _ c acc -> (c, cell_total c) :: acc) e.cells []
   |> List.filter (fun (_, n) -> n > 0)
@@ -387,13 +364,12 @@ let ranked_cells e =
          | 0 -> compare a.c_name b.c_name
          | c -> c)
 
+let top_ranked e ~top = List.filteri (fun i _ -> i < top) (ranked_cells e)
+
 let hot_alist ?(k = 5) (t : t) =
   match t with
   | None -> []
-  | Some e ->
-    ranked_cells e
-    |> List.filteri (fun i _ -> i < k)
-    |> List.map (fun (c, n) -> (c.c_name, n))
+  | Some e -> List.map (fun (c, n) -> (c.c_name, n)) (top_ranked e ~top:k)
 
 let series (t : t) =
   match t with
@@ -419,7 +395,7 @@ let series (t : t) =
       pts
 
 (* ------------------------------------------------------------------ *)
-(* ftrace.prof/1                                                      *)
+(* ftrace.prof/2                                                      *)
 
 let rules_totals e =
   let n = Array.length e.rule_names in
@@ -447,25 +423,22 @@ let buckets_json buckets =
     |> List.map (fun (i, n) ->
            Obs_json.arr [ Obs_json.int i; Obs_json.int n ]))
 
-let cell_json e ~count ~err c =
-  let n = Array.length e.rule_names in
-  let by_class cls =
-    let acc = ref 0 in
-    for i = 0 to min n (Array.length c.c_rules) - 1 do
-      if e.rule_classes.(i) = cls then acc := !acc + c.c_rules.(i)
-    done;
-    !acc
-  in
-  let same = by_class Same_epoch
-  and epoch = by_class Epoch
-  and vc = by_class Vc in
-  let ops = same + epoch + vc in
+(* A cell's ops in one cost class. *)
+let class_ops e c cls =
+  let acc = ref 0 in
+  for i = 0 to min (Array.length e.rule_names) (Array.length c.c_rules) - 1 do
+    if e.rule_classes.(i) = cls then acc := !acc + c.c_rules.(i)
+  done;
+  !acc
+
+let cell_json e (c, ops) =
+  let same = class_ops e c Same_epoch
+  and epoch = class_ops e c Epoch
+  and vc = class_ops e c Vc in
   Obs_json.obj
     [ ("var", Obs_json.str c.c_name);
       ("key", Obs_json.int c.c_key);
       ("ops", Obs_json.int ops);
-      ("count", Obs_json.int count);
-      ("count_err", Obs_json.int err);
       ("same_epoch", Obs_json.int same);
       ("epoch", Obs_json.int epoch);
       ("vc", Obs_json.int vc);
@@ -478,23 +451,6 @@ let cell_json e ~count ~err c =
       ("ns_per_op",
        if c.c_samples = 0 then Obs_json.null
        else Obs_json.float (c.c_ns /. float_of_int c.c_samples)) ]
-
-let top_vars_json e ~top =
-  fold_topk e;
-  Obs_topk.to_list e.topk
-  |> List.filteri (fun i _ -> i < top)
-  |> List.map (fun (key, count, err) ->
-         match Hashtbl.find_opt e.cells key with
-         | Some c -> cell_json e ~count ~err c
-         | None ->
-           (* streaming regime: the sketch tracks a key whose cell was
-              never materialized here *)
-           Obs_json.obj
-             [ ("var", Obs_json.str (Printf.sprintf "key:%d" key));
-               ("key", Obs_json.int key);
-               ("ops", Obs_json.int count);
-               ("count", Obs_json.int count);
-               ("count_err", Obs_json.int err) ])
 
 let document ?(source = "") ?(tool = "") ?(wall = 0.)
     ?(stats = []) ?(top = 20) (t : t) =
@@ -551,14 +507,8 @@ let document ?(source = "") ?(tool = "") ?(wall = 0.)
                ("state_words", Obs_json.int e.cs_words);
                ("rvc_words", Obs_json.int e.cs_rvc_words);
                ("approx_bytes", Obs_json.int (e.cs_words * word_bytes)) ]);
-          ("top_vars", Obs_json.arr (top_vars_json e ~top));
-          ("topk",
-           Obs_json.obj
-             [ ("capacity", Obs_json.int (Obs_topk.capacity e.topk));
-               ("size", Obs_json.int (Obs_topk.size e.topk));
-               ("exact", Obs_json.bool (Obs_topk.is_exact e.topk));
-               ("evictions", Obs_json.int (Obs_topk.evictions e.topk));
-               ("dropped", Obs_json.int (Obs_topk.dropped e.topk)) ]);
+          ("top_vars",
+           Obs_json.arr (List.map (cell_json e) (top_ranked e ~top)));
           ("timing",
            Obs_json.obj
              [ ("stride", Obs_json.int e.stride);
@@ -680,43 +630,21 @@ let render ?(top = 10) ?(source = "") ?(tool = "") (t : t) =
         (med "O(1) p50" e.buckets_fast)
         (med "vc p50" e.buckets_vc)
     in
-    let topk_note =
-      if Obs_topk.is_exact e.topk then "exact"
-      else
-        Printf.sprintf "approx: %d evictions, max dropped %d"
-          (Obs_topk.evictions e.topk)
-          (Obs_topk.dropped e.topk)
-    in
-    fold_topk e;
-    let var_header =
-      Printf.sprintf "top variables by detector ops (%s):" topk_note
-    in
+    let var_header = "top variables by detector ops:" in
     let var_lines =
-      Obs_topk.to_list e.topk
-      |> List.filteri (fun i _ -> i < top)
-      |> List.mapi (fun i (key, count, _) ->
-             match Hashtbl.find_opt e.cells key with
-             | None ->
-               Printf.sprintf "  %2d  key:%-10d %10s" (i + 1) key
-                 (si count)
-             | Some c ->
-               let n = Array.length e.rule_names in
-               let vc = ref 0 in
-               for j = 0 to min n (Array.length c.c_rules) - 1 do
-                 if e.rule_classes.(j) = Vc then
-                   vc := !vc + c.c_rules.(j)
-               done;
-               let ops = cell_total c in
-               Printf.sprintf
-                 "  %2d  %-12s %10s  fast %-6s vc %-6s infl %d%s%s"
-                 (i + 1) c.c_name (si ops)
-                 (pct (frac (ops - !vc) ops))
-                 (si !vc) c.c_inflations
-                 (if c.c_inflated_now then " [inflated]" else "")
-                 (if c.c_samples > 0 then
-                    Printf.sprintf "  ~%.0fns/op"
-                      (c.c_ns /. float_of_int c.c_samples)
-                  else ""))
+      top_ranked e ~top
+      |> List.mapi (fun i (c, ops) ->
+             let vc = class_ops e c Vc in
+             Printf.sprintf
+               "  %2d  %-12s %10s  fast %-6s vc %-6s infl %d%s%s"
+               (i + 1) c.c_name (si ops)
+               (pct (frac (ops - vc) ops))
+               (si vc) c.c_inflations
+               (if c.c_inflated_now then " [inflated]" else "")
+               (if c.c_samples > 0 then
+                  Printf.sprintf "  ~%.0fns/op"
+                    (c.c_ns /. float_of_int c.c_samples)
+                else ""))
     in
     (header :: totals_line :: rule_lines)
     @ [ census_line; memory_line; timing_line; var_header ]

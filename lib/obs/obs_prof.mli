@@ -1,5 +1,5 @@
 (** Shadow-state profiler: per-variable cost attribution, shadow
-    census, and the [ftrace.prof/1] export.
+    census, and the [ftrace.prof/2] export.
 
     FastTrack's empirical claim is distributional — almost every
     access takes an O(1) epoch path, and read vector clocks rarely
@@ -10,10 +10,9 @@
     inflation/deflation transitions of the read history, and lets the
     driver take a final (or periodic) {e census} of the shadow state
     classifying each variable as epoch-only vs inflated and summing
-    its approximate memory footprint.  A mergeable Space-Saving
-    sketch ({!Obs_topk}) ranks the hot variables in bounded memory so
-    the ranking survives the planned streaming front-end, where
-    per-variable exact cells will not fit.
+    its approximate memory footprint.  The hot-variable ranking is
+    read from the same exact cells, so the [ftrace.prof/2] document,
+    the human panel and the live stream's [top_vars] agree.
 
     {b Cost model} (measured by [bench profile], gated at <= 10% on
     moldyn): disabled, the handle is an immediate [None] — detectors
@@ -21,20 +20,19 @@
     per access.  Enabled, an access costs one increment of the cell's
     rule counter ({!cell_rules}) plus a countdown decrement the
     detector keeps for the timing sampler; the clock is only read
-    once per {!sample_stride} accesses.  Census, top-K folds and
-    exports run off the hot path entirely.
+    once per {!sample_stride} accesses.  Census, ranking and exports
+    run off the hot path entirely.
 
     Like the other [lib/obs] facilities, this module sits below the
     detector library: it deals in integer keys and display names, not
     [Var.t] or [Stats.t].
 
     {b Sharding}: same discipline as [Obs_recorder] — each shard or
-    work item profiles into a private {!shard_view} (fresh cells,
-    fresh sketch), and the driver {!merge}s the views on the main
-    domain after the parallel region.  Variable sharding makes the
-    per-key cells disjoint, so the merge is a move and the merged
-    profile (including the top-K, see {!Obs_topk}) equals the
-    sequential run's exactly. *)
+    work item profiles into a private {!shard_view} (fresh cells),
+    and the driver {!merge}s the views on the main domain after the
+    parallel region.  Variable sharding makes the per-key cells
+    disjoint, so the merge is a move and the merged profile
+    (including the ranking) equals the sequential run's exactly. *)
 
 type t
 type cell
@@ -50,17 +48,11 @@ val class_to_string : rule_class -> string
 val disabled : t
 val is_enabled : t -> bool
 
-val create :
-  ?topk_capacity:int ->
-  ?sample_stride:int ->
-  ?series_capacity:int ->
-  unit ->
-  t
-(** An enabled profiler.  [topk_capacity] (default 256) bounds the
-    heavy-hitter sketch; [sample_stride] (default 512) is the access
-    period of the timing sampler; [series_capacity] (default 512)
-    bounds the Perfetto counter-track series (it thins by 2x and
-    doubles its stride when full). *)
+val create : ?sample_stride:int -> unit -> t
+(** An enabled profiler.  [sample_stride] (default 512) is the access
+    period of the timing sampler.  Each view's Perfetto counter-track
+    series holds at most 512 points (it thins by 2x and doubles its
+    stride when full). *)
 
 (** {2 Detector-side hooks} *)
 
@@ -141,21 +133,20 @@ val census_var :
     epoch-only). *)
 
 val take_census : t -> unit
-(** Run the registered walker (resetting previous census counts) and
-    fold the cells into the top-K sketch.  Drivers call this at end
-    of run / shard / item, on the domain that owns the cells. *)
+(** Run the registered walker (resetting previous census counts).
+    Drivers call this at end of run / shard / item, on the domain
+    that owns the cells. *)
 
 (** {2 Sharding} *)
 
 val shard_view : t -> t
 (** A private view sharing the parent's configuration and clock epoch
-    (so series timestamps align) but owning fresh cells and a fresh
-    sketch.  Disabled parent => disabled view. *)
+    (so series timestamps align) but owning fresh cells.  Disabled
+    parent => disabled view. *)
 
 val merge : into:t -> t -> unit
 (** Fold a view back into the parent (cells move — disjoint keys
-    under variable sharding; totals, buckets, census and sketch
-    add).  Main-domain, post-region only. *)
+    under variable sharding; totals, buckets and census add).  Main-domain, post-region only. *)
 
 (** {2 Consumers} *)
 
@@ -178,9 +169,10 @@ val same_epoch_frac : t -> float
 (** Fraction resolved by the same-epoch fast path alone. *)
 
 val hot_alist : ?k:int -> t -> (string * int) list
-(** Top [k] (default 5) variables by attributed ops, for the
-    [ftrace.live/1] [top_vars] field.  Scans the cell table — publish
-    granularity only, not per event. *)
+(** Top [k] (default 5) variables by attributed ops (ties by name),
+    for the [ftrace.live/1] [top_vars] field; the document's
+    [top_vars] and {!render} read the same ranking.  Scans the cell
+    table — publish granularity only, not per event. *)
 
 val series : t -> (float * int * int) list
 (** The merged counter-track series: [(seconds, cumulative O(1) ops,
@@ -188,7 +180,7 @@ val series : t -> (float * int * int) list
     views.  Feeds the Perfetto counter tracks in {!Obs_traceevent}. *)
 
 val schema_version : string
-(** ["ftrace.prof/1"]. *)
+(** ["ftrace.prof/2"]. *)
 
 val document :
   ?source:string ->
@@ -198,9 +190,10 @@ val document :
   ?top:int ->
   t ->
   Obs_json.t
-(** The [ftrace.prof/1] document: totals, per-rule attribution with
-    cost classes, census, the joined top-[top] (default 20) variable
-    table, sketch metadata, timing buckets and the run's [stats]
+(** The [ftrace.prof/2] document: totals, per-rule attribution with
+    cost classes, census, the top-[top] (default 20) variable table
+    ([top_vars], ranked as {!hot_alist}: each entry's [ops] is its
+    exact attributed count), timing buckets and the run's [stats]
     counters when provided.  A disabled handle yields a valid
     document with zeroed totals. *)
 

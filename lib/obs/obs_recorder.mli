@@ -24,7 +24,7 @@
       regardless of trace length (see DESIGN.md §"Recorder memory
       bounds").
 
-    Like the metrics registry, recorders are {e not} synchronized: the
+    Recorders are {e not} synchronized: the
     driver gives each analysis unit a private {!shard_view} and
     {!merge}s them after the run.  Variable sharding makes the
     merge trivial — a shard only ever records accesses to keys it

@@ -141,9 +141,14 @@ let build ?(obs = Obs.disabled) ?factor ?skip ?segments ~jobs tr =
           ("jobs", Obs_span.Int (max 1 jobs)) ]
       ();
     Obs.record_span obs ~name:"prefix.route" ~start ~duration:p.route_wall ();
+    let ts = Sync_timeline.stats p.timeline in
     Obs.record_span obs ~name:"prefix.timeline" ~start ~duration:p.build_wall
-      ();
-    Obs.set_gauge obs "prefix.segments" (float_of_int p.segments);
-    Obs.set_gauge obs "prefix.wall_s" wall
+      ~attrs:
+        [ ("sync_events", Obs_span.Int ts.Sync_timeline.sync_events);
+          ("checkpoints", Obs_span.Int ts.Sync_timeline.checkpoints);
+          ("snapshots", Obs_span.Int ts.Sync_timeline.snapshots);
+          ("snapshot_hits", Obs_span.Int ts.Sync_timeline.snapshot_hits);
+          ("words", Obs_span.Int ts.Sync_timeline.words) ]
+      ()
   end;
   p

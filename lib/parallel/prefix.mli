@@ -68,5 +68,7 @@ val build :
 
     Uses up to [jobs] routing domains (calling domain included) plus
     one builder domain for the duration of the call.  With an enabled
-    [obs], records [prefix] / [prefix.route] / [prefix.timeline]
-    spans and [prefix.segments] / [prefix.wall_s] gauges. *)
+    [obs], records [prefix] (attrs [segments], [jobs]) /
+    [prefix.route] / [prefix.timeline] spans; the last carries the
+    timeline's {!Sync_timeline.stats} counts as attrs ([sync_events],
+    [checkpoints], [snapshots], [snapshot_hits], [words]). *)

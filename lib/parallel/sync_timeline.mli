@@ -43,7 +43,7 @@ type t
 (** Immutable timeline: safe to share across domains without locks. *)
 
 (** Build-time statistics, folded into driver stats and exported as
-    [timeline.*] observability gauges. *)
+    attrs of the stealing prefix's [prefix.timeline] span. *)
 type stats = {
   sync_events : int;  (** sync events replayed (once, total) *)
   other_events : int;

@@ -13,6 +13,7 @@ type t = {
   tool : string;
   jobs : int;
   events : int;
+  recorder : (string * int) list;
   races : enriched list;
 }
 
@@ -172,6 +173,11 @@ let build ?(config = Config.default) ?(source = "") ~trace
     tool = r.Driver.tool;
     jobs = max 1 (Array.length r.Driver.shards);
     events = Trace.length trace;
+    recorder =
+      [ ("vars_tracked", Obs_recorder.vars_tracked recorder);
+        ("recorded", Obs_recorder.recorded recorder);
+        ("dropped", Obs_recorder.dropped recorder);
+        ("approx_words", Obs_recorder.approx_words recorder) ];
     races }
 
 let slice_trace e = Trace.of_list (List.map snd e.slice)
@@ -336,6 +342,9 @@ let to_json t =
       ("jobs", Obs_json.int t.jobs);
       ("events", Obs_json.int t.events);
       ("warnings", Obs_json.int (List.length t.races));
+      ("recorder",
+       Obs_json.obj
+         (List.map (fun (k, v) -> (k, Obs_json.int v)) t.recorder));
       ("races", Obs_json.arr (List.map json_of_enriched t.races)) ]
 
 let to_string t = Obs_json.to_string (to_json t)

@@ -58,6 +58,9 @@ type t = {
   tool : string;
   jobs : int;
   events : int;   (** trace length *)
+  recorder : (string * int) list;
+      (** the flight recorder's footprint: [vars_tracked], [recorded],
+          [dropped] and [approx_words] (all 0 when it was off) *)
   races : enriched list;
 }
 

@@ -11,9 +11,7 @@
    3. snapshot arithmetic is exact ([sub (add a b) a = b]) and the
       derived figures (progress, fast-path share, imbalance) behave
       at the edges;
-   4. satellite coverage: Obs_metrics histograms at the edge buckets
-      (zero, negative, max_int) and Obs.merge of empty/disabled shard
-      views; Obs_cores as the single sizing authority;
+   4. Obs_cores is the single sizing authority;
    5. ftrace watch's state machine reproduces the stream's verdict
       from the NDJSON alone. *)
 
@@ -365,67 +363,7 @@ let test_merge_snapshots () =
     (e.counts = zero)
 
 (* ------------------------------------------------------------------ *)
-(* 4. satellites: histogram edges, merge of empty/disabled views      *)
-
-let test_histogram_edges () =
-  let m = Obs_metrics.create () in
-  let h = Obs_metrics.histogram m "edge" in
-  (* zero, negative, NaN and infinity all land in (and clamp to) the
-     bottom bucket instead of crashing or skewing the exponent map *)
-  Obs_metrics.observe h 0.;
-  Obs_metrics.observe h (-4.2);
-  Obs_metrics.observe h Float.nan;
-  Obs_metrics.observe h Float.infinity;
-  (* max_int (~2^62) is far above the 2^32 top bucket: clamps high *)
-  Obs_metrics.observe h (float_of_int max_int);
-  (* a subnormal is below the 2^-32 bottom bucket: clamps low *)
-  Obs_metrics.observe h 1e-300;
-  Obs_metrics.observe h 1.5;
-  let s = Obs_metrics.snapshot m in
-  let hs = List.assoc "edge" s.Obs_metrics.histograms in
-  Alcotest.(check int) "count" 7 hs.Obs_metrics.count;
-  Alcotest.(check (float 0.)) "max sample" (float_of_int max_int)
-    hs.Obs_metrics.max_sample;
-  let bucket e =
-    match List.assoc_opt e hs.Obs_metrics.buckets with
-    | Some n -> n
-    | None -> 0
-  in
-  (* bottom bucket = exponent -32: zero + negative + nan + inf +
-     subnormal *)
-  Alcotest.(check int) "bottom bucket" 5 (bucket (-32));
-  (* top bucket = exponent 32: max_int clamped *)
-  Alcotest.(check int) "top bucket" 1 (bucket 32);
-  (* 1.5 has frexp exponent 1 *)
-  Alcotest.(check int) "ordinary sample" 1 (bucket 1);
-  Alcotest.(check int) "nothing else" 7
-    (List.fold_left (fun a (_, n) -> a + n) 0 hs.Obs_metrics.buckets)
-
-let test_merge_empty_views () =
-  (* merging an untouched shard view is a no-op *)
-  let parent = Obs.create () in
-  Obs.bump parent "x" 3;
-  let view = Obs.shard_view parent in
-  Obs.merge ~into:parent view;
-  (match Obs.metrics parent with
-  | None -> Alcotest.fail "enabled obs has metrics"
-  | Some m ->
-    let s = Obs_metrics.snapshot m in
-    Alcotest.(check bool) "counters unchanged" true
-      (s.Obs_metrics.counters = [ ("x", 3) ]));
-  (* a disabled handle's shard view is disabled; merging disabled
-     into enabled (and vice versa) is a no-op, not a crash *)
-  let disabled_view = Obs.shard_view Obs.disabled in
-  Alcotest.(check bool) "disabled view stays disabled" false
-    (Obs.is_enabled disabled_view);
-  Obs.merge ~into:parent disabled_view;
-  Obs.merge ~into:Obs.disabled (Obs.shard_view parent);
-  (match Obs.metrics parent with
-  | None -> Alcotest.fail "enabled obs has metrics"
-  | Some m ->
-    let s = Obs_metrics.snapshot m in
-    Alcotest.(check bool) "still unchanged" true
-      (s.Obs_metrics.counters = [ ("x", 3) ]))
+(* 4. sizing authority                                                *)
 
 let test_cores_authority () =
   let c = Obs_cores.recommended () in
@@ -481,10 +419,6 @@ let suite =
         test_derived_figures;
       Alcotest.test_case "snapshot: merge semantics" `Quick
         test_merge_snapshots;
-      Alcotest.test_case "histograms: zero/negative/max_int edges" `Quick
-        test_histogram_edges;
-      Alcotest.test_case "obs: merge of empty/disabled shard views" `Quick
-        test_merge_empty_views;
       Alcotest.test_case "cores: one sizing authority" `Quick
         test_cores_authority;
       Alcotest.test_case "watch: replays a stream to the verdict" `Quick

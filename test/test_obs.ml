@@ -1,9 +1,10 @@
-(* The observability layer's contract (ISSUE 2):
+(* The observability layer's contract:
 
-   1. the metrics registry accumulates and merges exactly;
-   2. spans and GC samples land on one timeline and export as valid
-      JSON under the ftrace.obs/1 schema (parsed here with a minimal
+   1. spans and GC samples land on one timeline and export as valid
+      JSON under the ftrace.obs/2 schema (parsed here with a minimal
       hand-rolled reader — no JSON library in the image);
+   2. every run figure has one copy: the run section, a span attr, or
+      the race report's recorder object — never a second registry;
    3. observability NEVER changes analysis results: warnings from an
       instrumented run are identical to an uninstrumented run's, both
       sequentially and sharded. *)
@@ -167,64 +168,24 @@ let as_arr = function
   | Arr a -> a
   | _ -> Alcotest.fail "expected array"
 
-(* ------------------------------------------------------------------ *)
-(* Metrics registry                                                   *)
-
-let test_registry () =
-  let r = Obs_metrics.create () in
-  let c = Obs_metrics.counter r "events" in
-  Obs_metrics.incr c;
-  Obs_metrics.add c 9;
-  Alcotest.(check int) "counter" 10 (Obs_metrics.counter_value c);
-  Alcotest.(check bool) "counter handle is stable" true
-    (c == Obs_metrics.counter r "events");
-  let g = Obs_metrics.gauge r "imbalance" in
-  Obs_metrics.set g 1.5;
-  Obs_metrics.set g 2.5;
-  Alcotest.(check (float 1e-9)) "gauge last-wins" 2.5
-    (Obs_metrics.gauge_value g);
-  let h = Obs_metrics.histogram r "lat" in
-  List.iter (Obs_metrics.observe h) [ 0.5; 0.75; 3.0; 0.0; -1.0 ];
-  let snap = Obs_metrics.snapshot r in
-  Alcotest.(check (list (pair string int))) "counters" [ ("events", 10) ]
-    snap.Obs_metrics.counters;
-  let hs = List.assoc "lat" snap.Obs_metrics.histograms in
-  Alcotest.(check int) "histogram count" 5 hs.Obs_metrics.count;
-  Alcotest.(check (float 1e-9)) "histogram max" 3.0
-    hs.Obs_metrics.max_sample;
-  (* 0.5 and 0.75 share the [0.25,1) exponents? frexp 0.5 = (0.5, 0)
-     → bucket e=0; 0.75 = (0.75, 0) → e=0; 3.0 = (0.75, 2) → e=2;
-     non-positive values clamp to the bottom bucket. *)
-  let bucket e =
-    match List.assoc_opt e hs.Obs_metrics.buckets with
-    | Some k -> k
-    | None -> 0
+(* Every path (["run.stats.events"], ["spans[].attrs.words"]) at which
+   an object in [j] has a field named [key]. *)
+let paths key j =
+  let rec go prefix acc = function
+    | Obj fields ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let here = if prefix = "" then k else prefix ^ "." ^ k in
+          go here (if k = key then here :: acc else acc) v)
+        acc fields
+    | Arr items -> List.fold_left (go (prefix ^ "[]")) acc items
+    | _ -> acc
   in
-  Alcotest.(check int) "bucket e=0" 2 (bucket 0);
-  Alcotest.(check int) "bucket e=2" 1 (bucket 2);
-  Alcotest.(check int) "clamped bucket" 2 (bucket (-32))
+  List.rev (go "" [] j)
 
-let test_registry_merge () =
-  let a = Obs_metrics.create () in
-  let b = Obs_metrics.create () in
-  Obs_metrics.add (Obs_metrics.counter a "n") 3;
-  Obs_metrics.add (Obs_metrics.counter b "n") 4;
-  Obs_metrics.add (Obs_metrics.counter b "only_b") 1;
-  Obs_metrics.observe (Obs_metrics.histogram a "h") 1.0;
-  Obs_metrics.observe (Obs_metrics.histogram b "h") 2.0;
-  Obs_metrics.set (Obs_metrics.gauge b "g") 7.0;
-  Obs_metrics.merge_into ~into:a b;
-  let snap = Obs_metrics.snapshot a in
-  Alcotest.(check int) "counters add" 7
-    (List.assoc "n" snap.Obs_metrics.counters);
-  Alcotest.(check int) "source-only counter adopted" 1
-    (List.assoc "only_b" snap.Obs_metrics.counters);
-  Alcotest.(check (float 1e-9)) "touched gauge propagates" 7.0
-    (List.assoc "g" snap.Obs_metrics.gauges);
-  let hs = List.assoc "h" snap.Obs_metrics.histograms in
-  Alcotest.(check int) "histogram counts add" 2 hs.Obs_metrics.count;
-  Alcotest.(check (float 1e-9)) "histogram sums add" 3.0
-    hs.Obs_metrics.sum
+(* [key] appears in [j] exactly once, at [path]. *)
+let check_once j key path =
+  Alcotest.(check (list string)) (key ^ " has one copy") [ path ] (paths key j)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
@@ -269,36 +230,92 @@ let test_spans () =
 
 let jobs = 4
 
-let metrics_doc ?plan () =
-  let w = Option.get (Workloads.find "raytracer") in
-  let tr = Workload.trace ~seed:11 ~scale:1 w in
+let raytracer () =
+  Workload.trace ~seed:11 ~scale:1 (Option.get (Workloads.find "raytracer"))
+
+let metrics_doc ?(config = Config.default) ?plan tr =
   let obs = Obs.create ~gc_every:1024 ~heap_walk:true () in
-  let config = Config.with_obs obs Config.default in
+  let config = Config.with_obs obs config in
   let result =
     Driver.run_parallel ~config ~jobs ?plan (module Fasttrack) tr
   in
-  (Driver.export_metrics ~source:"raytracer" ~obs result, result)
+  (parse_json (Driver.export_metrics ~source:"raytracer" ~obs result), result)
+
+(* The run's own figures: each is in the document once, at its [run]
+   path, and no metrics section repeats them. *)
+let check_run_figures j (result : Driver.result) =
+  Alcotest.(check (list string)) "no metrics section" [] (paths "metrics" j);
+  let run = member "run" j and stats = member "stats" (member "run" j) in
+  List.iter
+    (fun (key, v) ->
+      check_once j key ("run.stats." ^ key);
+      Alcotest.(check (float 0.)) ("run.stats." ^ key) (float_of_int v)
+        (as_num (member key stats)))
+    [ ("events", result.Driver.stats.Stats.events);
+      ("eliminated", result.Driver.stats.Stats.eliminated);
+      ("peak_words", result.Driver.stats.Stats.peak_words);
+      ("state_words", result.Driver.stats.Stats.state_words) ];
+  List.iter
+    (fun key -> check_once j key ("run." ^ key))
+    [ "imbalance"; "slots"; "prefix_wall_s"; "prefix_frac" ];
+  (* driver.run_wall_s: one run-level wall, next to the per-shard
+     walls, which are other figures *)
+  Alcotest.(check (list string)) "run.wall_s has one copy"
+    ("run.wall_s" :: List.init jobs (fun _ -> "run.shards[].wall_s"))
+    (paths "wall_s" j);
+  Alcotest.(check (float 1e-4)) "run.wall_s" result.Driver.wall
+    (as_num (member "wall_s" run));
+  Alcotest.(check (float 0.)) "run.slots" (float_of_int result.Driver.slots)
+    (as_num (member "slots" run))
 
 let test_metrics_schema () =
-  (* force the legacy static plan: this test pins the per-shard span
-     and table schema; the stealing-plan document has its own test *)
-  let doc, result = metrics_doc ~plan:Shard.Static () in
-  let j = parse_json doc in
-  Alcotest.(check string) "schema version" "ftrace.obs/1"
+  (* force the static plan: this test pins the per-shard span and
+     table schema; the stealing-plan document has its own test.  The
+     flight recorder rides along so its footprint can be found in the
+     race report built from the same run. *)
+  let tr = raytracer () in
+  let recorder = Obs_recorder.create () in
+  let config = Config.with_recorder recorder Config.default in
+  let j, result = metrics_doc ~config ~plan:Shard.Static tr in
+  Alcotest.(check string) "schema version" "ftrace.obs/2"
     (as_str (member "schema" j));
   (* host block *)
   let host = member "host" j in
   Alcotest.(check bool) "host.cores > 0" true
     (as_num (member "cores" host) > 0.);
-  (* registry snapshot *)
-  let counters = member "counters" (member "metrics" j) in
-  Alcotest.(check (float 1e-9)) "driver.runs counted" 1.
-    (as_num (member "driver.runs" counters));
-  if as_num (member "driver.events" counters) <= 0. then
-    Alcotest.fail "driver.events not counted";
-  ignore (member "gauges" (member "metrics" j));
-  ignore (member "histograms" (member "metrics" j));
-  (* span timeline: plan, region, one span per shard, merge *)
+  check_run_figures j result;
+  (* the static plan's two derived figures: the broadcast count is
+     every shard's non-access events, and the materialized plan's
+     imbalance is the run's *)
+  let stats = member "stats" (member "run" j) in
+  let plan = Shard.plan ~jobs tr in
+  let stat k = int_of_float (as_num (member k stats)) in
+  Alcotest.(check int) "broadcast = (events - reads - writes) / jobs"
+    plan.Shard.broadcast
+    ((stat "events" - stat "reads" - stat "writes") / jobs);
+  Alcotest.(check (float 1e-4)) "plan imbalance = run.imbalance"
+    (Shard.imbalance plan)
+    (as_num (member "imbalance" (member "run" j)));
+  (* the recorder footprint: once, in ftrace.report/1's recorder
+     object *)
+  let report =
+    parse_json
+      (Report.to_string
+         (Report.build ~config ~source:"raytracer" ~trace:tr result))
+  in
+  List.iter
+    (fun (key, v) ->
+      check_once report key ("recorder." ^ key);
+      if paths key j <> [] then Alcotest.failf "%s in the obs document" key;
+      Alcotest.(check (float 0.)) ("recorder." ^ key) (float_of_int v)
+        (as_num (member key (member "recorder" report))))
+    [ ("vars_tracked", Obs_recorder.vars_tracked recorder);
+      ("recorded", Obs_recorder.recorded recorder);
+      ("dropped", Obs_recorder.dropped recorder);
+      ("approx_words", Obs_recorder.approx_words recorder) ];
+  if Obs_recorder.recorded recorder <= 0 then
+    Alcotest.fail "the recorder saw no access";
+  (* span timeline: region, one span per shard, merge *)
   let spans = as_arr (member "spans" j) in
   let span_names =
     List.map (fun s -> as_str (member "name" s)) spans
@@ -308,8 +325,10 @@ let test_metrics_schema () =
       if not (List.mem expected span_names) then
         Alcotest.failf "missing span %S (have: %s)" expected
           (String.concat ", " span_names))
-    ([ "plan"; "parallel.region"; "merge" ]
+    ([ "parallel.region"; "merge" ]
     @ List.init jobs (Printf.sprintf "shard-%d"));
+  if List.mem "plan" span_names then
+    Alcotest.fail "the static run materializes no second plan";
   List.iter
     (fun s ->
       if as_num (member "duration_s" s) < 0. then
@@ -353,8 +372,7 @@ let test_metrics_schema () =
       (fun acc s -> acc + int_of_float (as_num (member "accesses" s)))
       0 shards
   in
-  let reads, writes, _ = Trace.counts (Workload.trace ~seed:11 ~scale:1
-    (Option.get (Workloads.find "raytracer"))) in
+  let reads, writes, _ = Trace.counts tr in
   Alcotest.(check int) "shard accesses partition the trace"
     (reads + writes) accesses_sum;
   List.iter
@@ -368,7 +386,7 @@ let test_metrics_schema () =
   (* the exporter renders floats with %.6g *)
   Alcotest.(check (float 1e-4)) "result.imbalance matches export"
     result.Driver.imbalance imbalance;
-  (* ftrace.obs/1 carries every Stats scalar, including the sampling
+  (* ftrace.obs/2 carries every Stats scalar, including the sampling
      tier's counters — zero for a non-sampling detector like this
      FastTrack run *)
   let stats = member "stats" run in
@@ -383,8 +401,9 @@ let test_metrics_schema () =
    prefix accounting fields in the run section; per-worker shard table
    still partitions the accesses. *)
 let test_metrics_schema_stealing () =
-  let doc, result = metrics_doc ~plan:Shard.Stealing () in
-  let j = parse_json doc in
+  let tr = raytracer () in
+  let j, result = metrics_doc ~plan:Shard.Stealing tr in
+  check_run_figures j result;
   let spans = as_arr (member "spans" j) in
   let span_names =
     List.map (fun s -> as_str (member "name" s)) spans
@@ -412,25 +431,37 @@ let test_metrics_schema_stealing () =
       (fun acc s -> acc + int_of_float (as_num (member "accesses" s)))
       0 shards
   in
-  let reads, writes, _ =
-    Trace.counts
-      (Workload.trace ~seed:11 ~scale:1
-         (Option.get (Workloads.find "raytracer")))
-  in
+  let reads, writes, _ = Trace.counts tr in
   Alcotest.(check int) "worker accesses partition the trace"
     (reads + writes) accesses_sum;
-  (* the timeline counters/gauges ride along *)
-  let counters = member "counters" (member "metrics" j) in
-  if as_num (member "timeline.checkpoints" counters) <= 0. then
-    Alcotest.fail "timeline.checkpoints counter missing";
-  let gauges = member "gauges" (member "metrics" j) in
-  if as_num (member "timeline.words" gauges) <= 0. then
-    Alcotest.fail "timeline.words gauge missing";
+  (* the timeline's counts: attrs of the prefix.timeline span, equal
+     to a one-shot build's; the segment count is the prefix span's *)
+  let span name =
+    List.find (fun s -> as_str (member "name" s) = name) spans
+  in
+  let timeline = member "attrs" (span "prefix.timeline") in
+  let ts = Sync_timeline.stats (Sync_timeline.build tr) in
+  List.iter
+    (fun (key, v) ->
+      check_once j key ("spans[].attrs." ^ key);
+      Alcotest.(check (float 0.)) ("prefix.timeline." ^ key)
+        (float_of_int v) (as_num (member key timeline)))
+    [ ("sync_events", ts.Sync_timeline.sync_events);
+      ("checkpoints", ts.Sync_timeline.checkpoints);
+      ("snapshots", ts.Sync_timeline.snapshots);
+      ("snapshot_hits", ts.Sync_timeline.snapshot_hits);
+      ("words", ts.Sync_timeline.words) ];
+  Alcotest.(check (float 0.)) "timeline sync events = run.stats.syncs"
+    (float_of_int result.Driver.stats.Stats.syncs)
+    (as_num (member "sync_events" timeline));
+  check_once j "segments" "spans[].attrs.segments";
+  if as_num (member "segments" (member "attrs" (span "prefix"))) < 1. then
+    Alcotest.fail "prefix span without a segment count";
   Alcotest.(check (float 1e-4)) "imbalance exported"
     result.Driver.imbalance
     (as_num (member "imbalance" run));
-  (* the Amdahl accounting: prefix wall/fraction in the run section
-     and as gauges, consistent with the result record *)
+  (* the Amdahl accounting: prefix wall/fraction in the run section,
+     consistent with the result record *)
   Alcotest.(check (float 1e-4)) "prefix_wall_s exported"
     result.Driver.prefix_wall
     (as_num (member "prefix_wall_s" run));
@@ -439,9 +470,8 @@ let test_metrics_schema_stealing () =
     Alcotest.failf "prefix_frac out of range: %f" frac;
   if result.Driver.prefix_wall <= 0. then
     Alcotest.fail "stealing run must measure a positive prefix wall";
-  if as_num (member "prefix.wall_s" gauges) <= 0. then
-    Alcotest.fail "prefix.wall_s gauge missing";
-  ignore (member "prefix.frac" gauges)
+  Alcotest.(check (float 1e-4)) "prefix_frac exported"
+    (Driver.prefix_frac result) frac
 
 let test_disabled_document () =
   (* The disabled handle still exports a well-formed document with
@@ -568,11 +598,8 @@ let test_elapsed_units () =
 
 let suite =
   ( "obs",
-    [ Alcotest.test_case "metrics registry snapshot" `Quick test_registry;
-      Alcotest.test_case "metrics registry merge" `Quick
-        test_registry_merge;
-      Alcotest.test_case "span sink" `Quick test_spans;
-      Alcotest.test_case "--metrics document schema (ftrace.obs/1)"
+    [ Alcotest.test_case "span sink" `Quick test_spans;
+      Alcotest.test_case "--metrics document schema (ftrace.obs/2)"
         `Quick test_metrics_schema;
       Alcotest.test_case "--metrics document under work stealing"
         `Quick test_metrics_schema_stealing;

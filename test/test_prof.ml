@@ -1,19 +1,19 @@
-(* The shadow-state profiler's contract (ISSUE 8):
+(* The shadow-state profiler's contract:
 
    1. the profiler NEVER changes analysis results: warnings and
       witnesses are identical with profiling on vs off, sequentially
       and under both parallel plans (attribution observes the rules,
       it does not steer them);
-   2. the Space-Saving sketch honours its bounds: size <= capacity,
-      eviction inherits the evicted minimum as the error bound
-      (true <= count <= true + err), and merging disjoint shard
-      sketches reproduces the single-sketch oracle exactly;
+   2. every hot-variable ranking is the exact cells' one: the
+      document's top_vars, hot_alist and the live stream's final
+      top_vars agree, on traces with far more variables than a
+      ranking shows;
    3. the merged parallel profile equals the sequential oracle:
       same attributed accesses, same per-variable counts, same
       census population;
    4. the census classifies the shadow-state lifecycle correctly
       (epoch-only vs inflated, inflation/deflation counters);
-   5. the ftrace.prof/1 document round-trips through Obs_json_read
+   5. the ftrace.prof/2 document round-trips through Obs_json_read
       and its figures agree with the profiler's accessors. *)
 
 module J = Obs_json_read
@@ -30,83 +30,6 @@ let rd t x = Event.Read { t; x }
 let wr t x = Event.Write { t; x }
 let fork t u = Event.Fork { t; u }
 let join t u = Event.Join { t; u }
-
-(* ------------------------------------------------------------------ *)
-(* 2. Space-Saving sketch                                             *)
-
-let test_topk_exact_within_capacity () =
-  let s = Obs_topk.create ~capacity:8 () in
-  List.iter
-    (fun (k, n) -> Obs_topk.hit ~by:n s k)
-    [ (1, 5); (2, 3); (3, 9); (1, 1) ];
-  Alcotest.(check int) "size" 3 (Obs_topk.size s);
-  Alcotest.(check bool) "exact" true (Obs_topk.is_exact s);
-  Alcotest.(check (option int)) "count 1" (Some 6) (Obs_topk.count s 1);
-  Alcotest.(check (option int)) "untracked" None (Obs_topk.count s 7);
-  (* deterministic ranking: count descending, key ascending on ties *)
-  Obs_topk.hit ~by:3 s 4;
-  Alcotest.(check (list (triple int int int)))
-    "ordering"
-    [ (3, 9, 0); (1, 6, 0); (2, 3, 0); (4, 3, 0) ]
-    (Obs_topk.to_list s)
-
-let test_topk_eviction_bound () =
-  let s = Obs_topk.create ~capacity:2 () in
-  Obs_topk.hit ~by:5 s 1;
-  Obs_topk.hit ~by:3 s 2;
-  (* key 3 is untracked and the sketch is full: the minimum (key 2,
-     count 3) is evicted and its count becomes key 3's error bound *)
-  Obs_topk.hit s 3;
-  Alcotest.(check int) "size stays bounded" 2 (Obs_topk.size s);
-  Alcotest.(check int) "one eviction" 1 (Obs_topk.evictions s);
-  Alcotest.(check bool) "no longer exact" false (Obs_topk.is_exact s);
-  Alcotest.(check (option int)) "inherited count" (Some 4)
-    (Obs_topk.count s 3);
-  (* the Space-Saving invariant for the new key: true count 1 <=
-     tracked 4 <= 1 + err 3 *)
-  (match Obs_topk.to_list s with
-  | [ (1, 5, 0); (3, 4, 3) ] -> ()
-  | l ->
-    Alcotest.failf "unexpected entries: %s"
-      (String.concat ";"
-         (List.map (fun (k, c, e) -> Printf.sprintf "(%d,%d,%d)" k c e) l)))
-
-let test_topk_merge_oracle () =
-  (* a synthetic zipf-ish stream partitioned by key across 3 "shards"
-     (disjoint keys, the variable-sharding regime): the merged sketch
-     must equal a single sketch that saw the whole stream *)
-  let stream =
-    List.concat_map
-      (fun k -> List.init (1 + ((k * 7) mod 23)) (fun _ -> k))
-      (List.init 30 (fun i -> i))
-  in
-  let oracle = Obs_topk.create ~capacity:64 () in
-  List.iter (Obs_topk.hit oracle) stream;
-  let shards = Array.init 3 (fun _ -> Obs_topk.create ~capacity:64 ()) in
-  List.iter (fun k -> Obs_topk.hit shards.(k mod 3) k) stream;
-  let merged = Obs_topk.create ~capacity:64 () in
-  Array.iter (fun s -> Obs_topk.merge ~into:merged s) shards;
-  Alcotest.(check bool) "merge is exact" true (Obs_topk.is_exact merged);
-  Alcotest.(check (list (triple int int int)))
-    "merged = oracle" (Obs_topk.to_list oracle) (Obs_topk.to_list merged)
-
-let test_topk_lossy_merge_reports_dropped () =
-  let a = Obs_topk.create ~capacity:2 () in
-  let b = Obs_topk.create ~capacity:2 () in
-  Obs_topk.hit ~by:9 a 1;
-  Obs_topk.hit ~by:7 a 2;
-  Obs_topk.hit ~by:8 b 3;
-  Obs_topk.hit ~by:4 b 4;
-  Obs_topk.merge ~into:a b;
-  (* union has 4 entries, capacity 2: truncation keeps the top 2 and
-     records the largest discarded count as the honest rank bound *)
-  Alcotest.(check int) "size" 2 (Obs_topk.size a);
-  Alcotest.(check int) "dropped records the cut" 7 (Obs_topk.dropped a);
-  Alcotest.(check bool) "not exact" false (Obs_topk.is_exact a);
-  Alcotest.(check (list (triple int int int)))
-    "kept the heavy hitters"
-    [ (1, 9, 0); (3, 8, 0) ]
-    (Obs_topk.to_list a)
 
 (* ------------------------------------------------------------------ *)
 (* 1. invariance: profiling on vs off                                 *)
@@ -228,6 +151,69 @@ let test_merge_oracle_trace_gen () =
     [ 3; 17; 99 ]
 
 (* ------------------------------------------------------------------ *)
+(* 2. one ranking                                                     *)
+
+(* A document's top_vars as [(var, ops)], in rank order. *)
+let top_vars doc =
+  match J.member "top_vars" doc with
+  | Some (J.Arr vars) -> List.map (fun v -> (J.str v "var", J.int v "ops")) vars
+  | _ -> Alcotest.fail "document has no top_vars array"
+
+(* The live stream's final record's top_vars, in rank order. *)
+let live_final_top_vars path =
+  let ic = open_in path in
+  let last = ref "" in
+  (try
+     while true do
+       last := input_line ic
+     done
+   with End_of_file -> close_in ic);
+  match Option.bind (J.member "top_vars" (J.parse !last)) J.to_obj with
+  | Some vars -> List.map (fun (k, v) -> (k, Option.get (J.to_int v))) vars
+  | None -> Alcotest.fail "final live record has no top_vars"
+
+(* 1 200 variables, far more than any ranking shows: the document's
+   top_vars, hot_alist and the live final record rank the same
+   variables with the same exact counts, sequentially and under both
+   parallel plans.  The live record shows 8. *)
+let test_one_ranking () =
+  let tr =
+    Trace_gen.generate ~seed:7
+      { Trace_gen.default with threads = 8; vars = 1200; length = 60_000 }
+  in
+  List.iter
+    (fun (label, run) ->
+      let prof = Obs_prof.create () in
+      let path = Filename.temp_file "ftprof" ".ndjson" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let live = Obs_live.create ~sink:(open_out path) ~owns_sink:true () in
+          let config =
+            Config.with_live live (Config.with_prof prof Config.default)
+          in
+          ignore (run config);
+          Obs_live.close live;
+          let hot = Obs_prof.hot_alist ~k:8 prof in
+          Alcotest.(check int) (label ^ ": eight ranked") 8 (List.length hot);
+          let doc =
+            J.parse (Obs_json.to_string (Obs_prof.document ~top:8 prof))
+          in
+          Alcotest.(check (list (pair string int)))
+            (label ^ ": top_vars = hot_alist") hot (top_vars doc);
+          Alcotest.(check (list (pair string int)))
+            (label ^ ": top_vars = live final top_vars") (top_vars doc)
+            (live_final_top_vars path)))
+    [ ("seq", fun config -> Driver.run ~config fasttrack tr);
+      ( "static -j 2",
+        fun config ->
+          Driver.run_parallel ~config ~jobs:2 ~plan:Shard.Static fasttrack tr );
+      ( "stealing -j 2",
+        fun config ->
+          Driver.run_parallel ~config ~jobs:2 ~plan:Shard.Stealing fasttrack
+            tr ) ]
+
+(* ------------------------------------------------------------------ *)
 (* 4. census lifecycle                                                *)
 
 let census_of prof =
@@ -263,7 +249,7 @@ let test_census_lifecycle () =
   Alcotest.(check int) "one deflation" 1 (J.int c "deflations")
 
 (* ------------------------------------------------------------------ *)
-(* 5. ftrace.prof/1 round-trip                                        *)
+(* 5. ftrace.prof/2 round-trip                                        *)
 
 let test_document_roundtrip () =
   let tr = trace_of "hedc" in
@@ -300,8 +286,9 @@ let test_document_roundtrip () =
   let census = Option.get (J.member "census" doc) in
   Alcotest.(check bool) "census taken" true (J.bool census "taken");
   Alcotest.(check bool) "census saw vars" true (J.int census "vars" > 0);
-  let topk = Option.get (J.member "topk" doc) in
-  Alcotest.(check bool) "topk exact on one run" true (J.bool topk "exact");
+  Alcotest.(check (list (pair string int)))
+    "top_vars: the exact ranking" (Obs_prof.hot_alist ~k:20 prof)
+    (top_vars doc);
   (* the run's stats ride along verbatim *)
   let stats_j = Option.get (J.member "stats" doc) in
   List.iter
@@ -347,15 +334,7 @@ let test_sampling_smoke () =
 
 let suite =
   ( "prof",
-    [ Alcotest.test_case "topk: exact within capacity" `Quick
-        test_topk_exact_within_capacity;
-      Alcotest.test_case "topk: eviction inherits the error bound" `Quick
-        test_topk_eviction_bound;
-      Alcotest.test_case "topk: sharded merge = single-sketch oracle"
-        `Quick test_topk_merge_oracle;
-      Alcotest.test_case "topk: lossy merge reports the cut" `Quick
-        test_topk_lossy_merge_reports_dropped;
-      Alcotest.test_case "prof on/off: sequential verdicts identical"
+    [ Alcotest.test_case "prof on/off: sequential verdicts identical"
         `Quick test_invariance_seq;
       Alcotest.test_case "prof on/off: parallel verdicts identical"
         `Quick test_invariance_parallel;
@@ -365,11 +344,13 @@ let suite =
         `Quick test_parallel_merge_oracle;
       Alcotest.test_case "merge oracle holds on generated traces"
         `Quick test_merge_oracle_trace_gen;
+      Alcotest.test_case "top_vars = hot_alist = live final top_vars"
+        `Quick test_one_ranking;
       Alcotest.test_case "census: inflation/deflation lifecycle" `Quick
         test_census_lifecycle;
-      Alcotest.test_case "ftrace.prof/1 document round-trips" `Quick
+      Alcotest.test_case "ftrace.prof/2 document round-trips" `Quick
         test_document_roundtrip;
-      Alcotest.test_case "ftrace.prof/1 of a disabled handle" `Quick
+      Alcotest.test_case "ftrace.prof/2 of a disabled handle" `Quick
         test_document_disabled;
       Alcotest.test_case "empty profile: fractions are 0, not NaN" `Quick
         test_empty_profile_fractions;
