@@ -943,8 +943,10 @@ let mix path =
     List.iter
       (fun (rule, hits) -> Printf.printf "  %-18s %8d\n" rule hits)
       (Stats.rules_alist r.stats);
-    Printf.printf "vector clocks allocated: %d, O(n) VC operations: %d\n"
-      r.stats.Stats.vc_allocs r.stats.Stats.vc_ops;
+    Printf.printf
+      "vector clocks allocated: %d, O(n) VC operations: %d (%d skipped as \
+       no-ops)\n"
+      r.stats.Stats.vc_allocs r.stats.Stats.vc_ops r.stats.Stats.vc_ops_skipped;
     0
 
 let stats_cmd =

@@ -40,6 +40,7 @@ let live_counts (st : Stats.t) ~extra_elim ~warnings =
     eliminated = st.Stats.eliminated + extra_elim;
     epoch_ops = st.Stats.epoch_ops;
     vc_ops = st.Stats.vc_ops;
+    vc_ops_skipped = st.Stats.vc_ops_skipped;
     state_words = st.Stats.state_words;
     warnings }
 
@@ -316,6 +317,7 @@ let stats_of_timeline (ts : Sync_timeline.stats) =
   s.Stats.events <- ts.Sync_timeline.sync_events + ts.Sync_timeline.other_events;
   s.Stats.syncs <- ts.Sync_timeline.sync_events;
   s.Stats.vc_ops <- ts.Sync_timeline.vc_ops;
+  s.Stats.vc_ops_skipped <- ts.Sync_timeline.vc_ops_skipped;
   s.Stats.vc_allocs <- ts.Sync_timeline.vc_allocs;
   Stats.add_words s ts.Sync_timeline.words;
   s

@@ -6,6 +6,7 @@ type t = {
   mutable eliminated : int;
   mutable vc_allocs : int;
   mutable vc_ops : int;
+  mutable vc_ops_skipped : int;
   mutable epoch_ops : int;
   mutable sampled : int;
   mutable skipped : int;
@@ -22,6 +23,7 @@ let create () =
     eliminated = 0;
     vc_allocs = 0;
     vc_ops = 0;
+    vc_ops_skipped = 0;
     epoch_ops = 0;
     sampled = 0;
     skipped = 0;
@@ -63,6 +65,7 @@ let merge_into ~into s =
   into.eliminated <- into.eliminated + s.eliminated;
   into.vc_allocs <- into.vc_allocs + s.vc_allocs;
   into.vc_ops <- into.vc_ops + s.vc_ops;
+  into.vc_ops_skipped <- into.vc_ops_skipped + s.vc_ops_skipped;
   into.epoch_ops <- into.epoch_ops + s.epoch_ops;
   into.sampled <- into.sampled + s.sampled;
   into.skipped <- into.skipped + s.skipped;
@@ -90,6 +93,7 @@ let fields_alist s =
     ("eliminated", s.eliminated);
     ("vc_allocs", s.vc_allocs);
     ("vc_ops", s.vc_ops);
+    ("vc_ops_skipped", s.vc_ops_skipped);
     ("epoch_ops", s.epoch_ops);
     ("sampled", s.sampled);
     ("skipped", s.skipped);
@@ -106,9 +110,10 @@ let rules_alist s =
 let pp ppf s =
   Format.fprintf ppf
     "@[<v>events: %d (rd %d / wr %d / sync %d)@,\
-     vc allocs: %d, vc ops: %d, epoch ops: %d@,\
+     vc allocs: %d, vc ops: %d (%d in O(1)), epoch ops: %d@,\
      state words: %d (peak %d)@,rules: %a@]"
-    s.events s.reads s.writes s.syncs s.vc_allocs s.vc_ops s.epoch_ops
+    s.events s.reads s.writes s.syncs s.vc_allocs s.vc_ops s.vc_ops_skipped
+    s.epoch_ops
     s.state_words s.peak_words
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")

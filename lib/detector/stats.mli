@@ -15,6 +15,11 @@ type t = {
           ([Config.static_elim]); not part of [events] *)
   mutable vc_allocs : int;   (** vector clocks allocated *)
   mutable vc_ops : int;      (** O(n)-time VC operations (copy/join/⊑) *)
+  mutable vc_ops_skipped : int;
+      (** the sync-rule applications among [vc_ops] that {!Vc_state}
+          (or the sync timeline) proved to need O(1) work: an acquire
+          by the lock's last releaser, a release that rewrites one
+          entry *)
   mutable epoch_ops : int;   (** O(1) epoch fast-path comparisons *)
   mutable sampled : int;
       (** accesses the sampling tier analyzed (zero for every

@@ -7,7 +7,14 @@
     and barrier extensions of Section 4.  This module implements those
     rules once, with instrumentation counters charged to the owning
     detector's {!Stats.t}, mirroring how the paper's tools all share
-    one optimized vector-clock implementation. *)
+    one optimized vector-clock implementation.
+
+    Two lock cases that change nothing beyond one entry run in O(1):
+    an acquire of [m] by the thread that last released [m], and a
+    release of [m] by that thread while its clock has changed only in
+    its own entry since.  Every clock stays exactly as the full rule
+    leaves it; each such case still counts as one [vc_ops] and also
+    as one [vc_ops_skipped]. *)
 
 type t
 

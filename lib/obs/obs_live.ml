@@ -133,6 +133,7 @@ let counts_json (c : Obs_snapshot.counts) =
       ("eliminated", Obs_json.int c.Obs_snapshot.eliminated);
       ("epoch_ops", Obs_json.int c.Obs_snapshot.epoch_ops);
       ("vc_ops", Obs_json.int c.Obs_snapshot.vc_ops);
+      ("vc_ops_skipped", Obs_json.int c.Obs_snapshot.vc_ops_skipped);
       ("state_words", Obs_json.int c.Obs_snapshot.state_words);
       ("warnings", Obs_json.int c.Obs_snapshot.warnings) ]
 
@@ -372,6 +373,7 @@ let finish ?(top_vars = []) (t : t) ~wall ~(fields : (string * int) list)
               eliminated = fld "eliminated";
               epoch_ops = fld "epoch_ops";
               vc_ops = fld "vc_ops";
+              vc_ops_skipped = fld "vc_ops_skipped";
               state_words = fld "state_words";
               warnings }
           in

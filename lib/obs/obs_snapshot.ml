@@ -22,6 +22,7 @@ type counts = {
   eliminated : int;
   epoch_ops : int;  (* O(1) epoch fast-path operations *)
   vc_ops : int;     (* O(n) vector-clock slow-path operations *)
+  vc_ops_skipped : int;  (* of which done in O(1) (no-op sync rules) *)
   state_words : int;
   warnings : int;
 }
@@ -34,6 +35,7 @@ let zero =
     eliminated = 0;
     epoch_ops = 0;
     vc_ops = 0;
+    vc_ops_skipped = 0;
     state_words = 0;
     warnings = 0 }
 
@@ -45,6 +47,7 @@ let add a b =
     eliminated = a.eliminated + b.eliminated;
     epoch_ops = a.epoch_ops + b.epoch_ops;
     vc_ops = a.vc_ops + b.vc_ops;
+    vc_ops_skipped = a.vc_ops_skipped + b.vc_ops_skipped;
     state_words = a.state_words + b.state_words;
     warnings = a.warnings + b.warnings }
 
@@ -56,6 +59,7 @@ let sub a b =
     eliminated = a.eliminated - b.eliminated;
     epoch_ops = a.epoch_ops - b.epoch_ops;
     vc_ops = a.vc_ops - b.vc_ops;
+    vc_ops_skipped = a.vc_ops_skipped - b.vc_ops_skipped;
     state_words = a.state_words - b.state_words;
     warnings = a.warnings - b.warnings }
 

@@ -18,6 +18,8 @@ type counts = {
   eliminated : int;  (** accesses skipped by static elimination *)
   epoch_ops : int;   (** O(1) epoch fast-path operations *)
   vc_ops : int;      (** O(n) vector-clock slow-path operations *)
+  vc_ops_skipped : int;
+      (** those of [vc_ops] that a no-op sync rule did in O(1) *)
   state_words : int; (** shadow-state words currently allocated *)
   warnings : int;
 }

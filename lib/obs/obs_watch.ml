@@ -65,6 +65,7 @@ let counts_of_json j =
     eliminated = J.int j "eliminated";
     epoch_ops = J.int j "epoch_ops";
     vc_ops = J.int j "vc_ops";
+    vc_ops_skipped = J.int j "vc_ops_skipped";
     state_words = J.int j "state_words";
     warnings = J.int j "warnings" }
 

@@ -36,6 +36,7 @@ type stats = {
   sync_events : int;
   other_events : int;  (* broadcastable non-sync events (txn markers) *)
   vc_ops : int;  (* O(n) clock operations of the replay, as Vc_state counts *)
+  vc_ops_skipped : int;  (* of which done in O(1), as Vc_state counts *)
   vc_allocs : int;  (* live-machine clock allocations *)
   checkpoints : int;  (* clock checkpoints recorded across all threads *)
   snapshots : int;  (* keyframes: Σ_t ⌈checkpoints_t / key_every⌉ *)
@@ -56,9 +57,14 @@ let thread_count tl = tl.nthreads
 
 (* -- build-time machine ------------------------------------------- *)
 
+(* L_m with Vc_state's no-op bookkeeping: the thread [lvc] was last
+   copied from, and that thread's [m_ext] at the copy. *)
+type lock = { lvc : VC.t; mutable releaser : int; mutable seen : int }
+
 type machine = {
   mutable m_clocks : VC.t array;  (* live C, indexed by tid *)
-  m_locks : (Lockid.t, VC.t) Hashtbl.t;
+  mutable m_ext : int array;  (* Vc_state's [ext]: C_t changed beyond C_t(t) *)
+  m_locks : (Lockid.t, lock) Hashtbl.t;
   m_volatiles : (Volatile.t, VC.t) Hashtbl.t;
   (* per-thread checkpoint accumulators, reverse chronological *)
   mutable last : VC.t array;  (* clock at the thread's last checkpoint *)
@@ -74,6 +80,7 @@ type machine = {
   mutable c_sync : int;
   mutable c_other : int;
   mutable c_vc_ops : int;
+  mutable c_vc_ops_skipped : int;
   mutable c_vc_allocs : int;
   mutable c_snapshot_hits : int;
   mutable c_words : int;
@@ -81,14 +88,33 @@ type machine = {
 
 let vc_op m = m.c_vc_ops <- m.c_vc_ops + 1
 
-let sync_vc m table key =
-  match Hashtbl.find_opt table key with
-  | Some v -> v
+let vc_op_skipped m =
+  m.c_vc_ops_skipped <- m.c_vc_ops_skipped + 1;
+  vc_op m
+
+let new_vc m =
+  m.c_vc_allocs <- m.c_vc_allocs + 1;
+  VC.create ()
+
+let volatile_vc m v =
+  match Hashtbl.find_opt m.m_volatiles v with
+  | Some lv -> lv
   | None ->
-    let v = VC.create () in
-    Hashtbl.replace table key v;
-    m.c_vc_allocs <- m.c_vc_allocs + 1;
-    v
+    let lv = new_vc m in
+    Hashtbl.replace m.m_volatiles v lv;
+    lv
+
+let lock m l =
+  match Hashtbl.find_opt m.m_locks l with
+  | Some lk -> lk
+  | None ->
+    let lk = { lvc = new_vc m; releaser = -1; seen = 0 } in
+    Hashtbl.replace m.m_locks l lk;
+    lk
+
+let join_thread m u src =
+  if VC.join_changed ~dst:m.m_clocks.(u) src then
+    m.m_ext.(u) <- m.m_ext.(u) + 1
 
 (* Record thread [t]'s post-event state as the entries its clock
    raised since its previous checkpoint, plus a full keyframe every
@@ -130,46 +156,63 @@ let rec insert_sorted (m : Lockid.t) = function
 let remove_lock (m : Lockid.t) l = List.filter (fun x -> x <> m) l
 
 (* The Figure 3 / Section 4 rules, mirroring Vc_state.handle_sync
-   (including its vc-op accounting) but additionally checkpointing the
-   post-event state of every thread whose clock the rule writes. *)
+   (including its no-op rules and vc-op accounting) but additionally
+   checkpointing the post-event state of every thread whose clock the
+   rule writes. *)
 let handle_sync_event m ~index e =
   let clock t = m.m_clocks.(t) in
   match e with
   | Event.Read _ | Event.Write _ -> ()
   | Event.Acquire { t; m = l } ->
-    VC.join_into ~dst:(clock t) (sync_vc m m.m_locks l);
-    vc_op m;
-    checkpoint m ~index t;
+    let lk = lock m l in
+    if lk.releaser = t then begin
+      (* C_t is unchanged, so its checkpoint would raise nothing *)
+      vc_op_skipped m;
+      m.c_snapshot_hits <- m.c_snapshot_hits + 1
+    end
+    else begin
+      join_thread m t lk.lvc;
+      vc_op m;
+      checkpoint m ~index t
+    end;
     held_checkpoint m ~index t (insert_sorted l m.held.(t))
   | Event.Release { t; m = l } ->
     let ct = clock t in
-    VC.copy_into ~dst:(sync_vc m m.m_locks l) ct;
-    vc_op m;
+    let lk = lock m l in
+    if lk.releaser = t && lk.seen = m.m_ext.(t) then begin
+      VC.set lk.lvc t (VC.get ct t);
+      vc_op_skipped m
+    end
+    else begin
+      VC.copy_into ~dst:lk.lvc ct;
+      lk.releaser <- t;
+      lk.seen <- m.m_ext.(t);
+      vc_op m
+    end;
     VC.inc ct t;
     checkpoint m ~index t;
     held_checkpoint m ~index t (remove_lock l m.held.(t))
   | Event.Fork { t; u } ->
-    let ct = clock t and cu = clock u in
-    VC.join_into ~dst:cu ct;
+    let ct = clock t in
+    join_thread m u ct;
     vc_op m;
     VC.inc ct t;
     checkpoint m ~index t;
     checkpoint m ~index u
   | Event.Join { t; u } ->
-    let ct = clock t and cu = clock u in
-    VC.join_into ~dst:ct cu;
+    let cu = clock u in
+    join_thread m t cu;
     vc_op m;
     VC.inc cu u;
     checkpoint m ~index t;
     checkpoint m ~index u
   | Event.Volatile_read { t; v } ->
-    VC.join_into ~dst:(clock t) (sync_vc m m.m_volatiles v);
+    join_thread m t (volatile_vc m v);
     vc_op m;
     checkpoint m ~index t
   | Event.Volatile_write { t; v } ->
     let ct = clock t in
-    let lv = sync_vc m m.m_volatiles v in
-    VC.join_into ~dst:lv ct;
+    VC.join_into ~dst:(volatile_vc m v) ct;
     vc_op m;
     VC.inc ct t;
     checkpoint m ~index t
@@ -185,6 +228,7 @@ let handle_sync_event m ~index e =
     List.iter
       (fun u ->
         VC.copy_into ~dst:(clock u) joined;
+        m.m_ext.(u) <- m.m_ext.(u) + 1;
         vc_op m;
         VC.inc (clock u) u;
         checkpoint m ~index u)
@@ -219,6 +263,7 @@ let ensure_thread (m : machine) t =
           VC.inc v u;
           v);
     m.c_vc_allocs <- m.c_vc_allocs + (n' - n);
+    m.m_ext <- grow m.m_ext (fun _ -> 0);
     m.last <- grow m.last (fun _ -> VC.create ());
     m.cps <- grow m.cps (fun _ -> []);
     m.keys_rev <- grow m.keys_rev (fun _ -> []);
@@ -235,6 +280,7 @@ let ensure_thread (m : machine) t =
 
 let builder_create () : builder =
   { m_clocks = [||];
+    m_ext = [||];
     m_locks = Hashtbl.create 16;
     m_volatiles = Hashtbl.create 8;
     last = [||];
@@ -249,6 +295,7 @@ let builder_create () : builder =
     c_sync = 0;
     c_other = 0;
     c_vc_ops = 0;
+    c_vc_ops_skipped = 0;
     c_vc_allocs = 0;
     c_snapshot_hits = 0;
     c_words = 0 }
@@ -296,6 +343,7 @@ let finalize (m : builder) ~nthreads =
       { sync_events = m.c_sync;
         other_events = m.c_other;
         vc_ops = m.c_vc_ops;
+        vc_ops_skipped = m.c_vc_ops_skipped;
         vc_allocs = m.c_vc_allocs;
         checkpoints = Array.fold_left ( + ) 0 m.ncps;
         snapshots =

@@ -49,6 +49,8 @@ type stats = {
   other_events : int;
       (** broadcastable non-sync, non-access events (txn markers) *)
   vc_ops : int;  (** O(n) clock operations, counted as [Vc_state] does *)
+  vc_ops_skipped : int;
+      (** those of [vc_ops] done in O(1), counted as [Vc_state] does *)
   vc_allocs : int;  (** live-machine clock allocations *)
   checkpoints : int;  (** clock checkpoints recorded across all threads *)
   snapshots : int;

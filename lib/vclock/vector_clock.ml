@@ -35,16 +35,23 @@ let set v t c =
 
 let inc v t = set v t (get v t + 1)
 
-let join_into ~dst src =
-  grow dst (src.len - 1);
-  if src.len > dst.len then begin
+let join_changed ~dst src =
+  let changed = ref (src.len > dst.len) in
+  if !changed then begin
+    grow dst (src.len - 1);
     Array.fill dst.clocks dst.len (src.len - dst.len) 0;
     dst.len <- src.len
   end;
   for t = 0 to src.len - 1 do
     let c = src.clocks.(t) in
-    if c > dst.clocks.(t) then dst.clocks.(t) <- c
-  done
+    if c > dst.clocks.(t) then begin
+      dst.clocks.(t) <- c;
+      changed := true
+    end
+  done;
+  !changed
+
+let join_into ~dst src = ignore (join_changed ~dst src)
 
 let clear v =
   Array.fill v.clocks 0 v.len 0;

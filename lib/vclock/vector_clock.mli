@@ -30,9 +30,14 @@ val set : t -> int -> int -> unit
 val inc : t -> int -> unit
 (** [inc v t] is the paper's [inc_t]: [V(t) := V(t) + 1]. *)
 
+val join_changed : dst:t -> t -> bool
+(** [join_changed ~dst src] sets [dst := dst ⊔ src] (pointwise max)
+    and returns [true] iff that raised an entry of [dst] or extended
+    its logical {!length}.  O(n) time.  A [false] result means [dst]
+    is exactly as it was, representation included. *)
+
 val join_into : dst:t -> t -> unit
-(** [join_into ~dst src] sets [dst := dst ⊔ src] (pointwise max).
-    O(n) time. *)
+(** [join_into ~dst src] is [ignore (join_changed ~dst src)]. *)
 
 val copy : t -> t
 (** Fresh copy.  O(n) time and space — a "vector clock allocation" in

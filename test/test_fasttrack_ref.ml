@@ -132,6 +132,102 @@ let test_initial_state () =
   Alcotest.(check bool) "W_x = ⊥e" true
     (Epoch.is_bottom (Fasttrack_ref.write_of s (Var.scalar 0)))
 
+let sync_only tr =
+  Trace.of_list
+    (List.filter (fun e -> not (Event.is_access e)) (Trace.to_list tr))
+
+(* Vc_state skips an acquire of m by m's last releaser and rewrites
+   one entry of L_m on a repeat release; neither shortcut may change a
+   clock.  Checked after every event of sync-only traces (which never
+   get stuck) against the specification, which has no shortcuts.
+   Returns the Vc_state's stats. *)
+let check_clocks_against_spec name tr =
+  let n = max (Trace.thread_count tr) 1 in
+  let stats = Stats.create () in
+  let st = Vc_state.create stats in
+  let spec = ref Fasttrack_ref.initial in
+  Trace.iteri
+    (fun index e ->
+      ignore (Vc_state.handle_sync st e);
+      (match Fasttrack_ref.step !spec ~index e with
+      | Ok s -> spec := s
+      | Error _ -> Alcotest.failf "%s: spec stuck at [%d]" name index);
+      for t = 0 to n - 1 do
+        let live = Vc_state.clock st t
+        and want = Fasttrack_ref.clock_of !spec t in
+        for u = 0 to n - 1 do
+          let a = Vector_clock.get live u and b = Fasttrack_ref.Vc.get want u in
+          if a <> b then
+            Alcotest.failf "%s: C_%d(%d) after [%d] is %d, spec %d" name t u
+              index a b
+        done
+      done)
+    tr;
+  stats
+
+(* The perfbench [wide] shape: many threads, 8 locks, ~29 % sync. *)
+let wide_trace ~threads ~seed ~length =
+  Trace_gen.generate ~seed
+    { Trace_gen.threads; vars = 256; locks = 8; volatiles = 4; length;
+      profile = Trace_gen.Synchronized; barriers = false }
+
+let test_sync_clocks_generated () =
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun seed ->
+          let tr = sync_only (wide_trace ~threads ~seed ~length:1200) in
+          ignore
+            (check_clocks_against_spec
+               (Printf.sprintf "wide-%d seed %d" threads seed)
+               tr))
+        [ 1; 2; 3 ])
+    [ 16; 64; 128 ]
+
+let test_sync_clocks_workloads () =
+  List.iter
+    (fun w ->
+      ignore
+        (check_clocks_against_spec w.Workload.name
+           (sync_only (Workload.trace ~scale:1 w))))
+    Workloads.all
+
+(* [vc_ops] still counts every O(n) rule application, skipped or not
+   (Table 2 does not move), and the stealing plan's sync timeline
+   skips exactly what Vc_state skips. *)
+let rule_applications tr =
+  Trace.fold
+    (fun n e ->
+      match e with
+      | Event.Read _ | Event.Write _ | Event.Txn_begin _ | Event.Txn_end _ -> n
+      | Event.Barrier_release { threads } -> n + (2 * List.length threads)
+      | _ -> n + 1)
+    0 tr
+
+let test_skip_counts () =
+  List.iter
+    (fun threads ->
+      let tr = wide_trace ~threads ~seed:7 ~length:4000 in
+      let name = Printf.sprintf "wide-%d" threads in
+      let st = check_clocks_against_spec name (sync_only tr) in
+      Alcotest.(check int) (name ^ ": vc_ops = rule applications")
+        (rule_applications tr) st.Stats.vc_ops;
+      if st.Stats.vc_ops_skipped <= 0 then
+        Alcotest.failf "%s: no sync op was skipped" name;
+      let ts = Sync_timeline.stats (Sync_timeline.build tr) in
+      Alcotest.(check (pair int int)) (name ^ ": timeline counts")
+        (st.Stats.vc_ops, st.Stats.vc_ops_skipped)
+        (ts.Sync_timeline.vc_ops, ts.Sync_timeline.vc_ops_skipped);
+      let seq = Driver.run (module Fasttrack) tr in
+      let steal =
+        Driver.run_parallel ~jobs:2 ~plan:Shard.Stealing (module Fasttrack) tr
+      in
+      Alcotest.(check int) (name ^ ": sequential skips")
+        st.Stats.vc_ops_skipped seq.Driver.stats.Stats.vc_ops_skipped;
+      Alcotest.(check int) (name ^ ": stealing skips")
+        st.Stats.vc_ops_skipped steal.Driver.stats.Stats.vc_ops_skipped)
+    [ 16; 64; 128 ]
+
 let suite =
   ( "fasttrack spec",
     [ Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -139,4 +235,10 @@ let suite =
         test_rule_histogram_agrees;
       prop_theorem_1;
       prop_first_race_agrees;
-      prop_well_formedness_preserved ] )
+      prop_well_formedness_preserved;
+      Alcotest.test_case "no-op sync rules keep clocks: generated" `Quick
+        test_sync_clocks_generated;
+      Alcotest.test_case "no-op sync rules keep clocks: workloads" `Quick
+        test_sync_clocks_workloads;
+      Alcotest.test_case "no-op sync rules: vc_ops and skip counts" `Quick
+        test_skip_counts ] )

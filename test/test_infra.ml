@@ -143,6 +143,56 @@ let test_vc_state_barrier () =
         [ 0; 1; 2 ])
     [ 0; 1; 2 ]
 
+(* The two O(1) lock rules, and the cases that must defeat them. *)
+let run_sync events =
+  let stats = Stats.create () in
+  let s = Vc_state.create stats in
+  List.iter (fun e -> ignore (Vc_state.handle_sync s e)) events;
+  (s, stats)
+
+let test_vc_state_own_reacquire () =
+  let s, stats =
+    run_sync [ Event.Release { t = 0; m = 0 }; Event.Acquire { t = 0; m = 0 } ]
+  in
+  Alcotest.(check int) "both count as vc ops" 2 stats.Stats.vc_ops;
+  Alcotest.(check int) "acquire skipped" 1 stats.Stats.vc_ops_skipped;
+  Alcotest.(check string) "epoch as after the release" "2@0"
+    (Epoch.to_string (Vc_state.epoch s 0))
+
+let test_vc_state_other_releaser () =
+  let s, stats =
+    run_sync
+      [ Event.Release { t = 0; m = 0 };
+        Event.Release { t = 1; m = 0 };
+        Event.Acquire { t = 0; m = 0 } ]
+  in
+  Alcotest.(check int) "nothing skipped" 0 stats.Stats.vc_ops_skipped;
+  Alcotest.(check int) "C_0(1) from thread 1's release" 1
+    (Vector_clock.get (Vc_state.clock s 0) 1)
+
+let test_vc_state_repeat_release () =
+  (* t=0 releases m twice; the second release writes one entry *)
+  let _, stats =
+    run_sync [ Event.Release { t = 0; m = 0 }; Event.Release { t = 0; m = 0 } ]
+  in
+  Alcotest.(check int) "one-entry release" 1 stats.Stats.vc_ops_skipped;
+  (* a volatile read between the releases raises C_0(1), so the second
+     release must copy all of C_0 into L_m, or thread 2's acquire
+     misses thread 1's volatile write *)
+  let s, stats =
+    run_sync
+      [ Event.Release { t = 0; m = 0 };
+        Event.Volatile_write { t = 1; v = 0 };
+        Event.Volatile_read { t = 0; v = 0 };
+        Event.Release { t = 0; m = 0 };
+        Event.Acquire { t = 2; m = 0 } ]
+  in
+  Alcotest.(check int) "full copy" 0 stats.Stats.vc_ops_skipped;
+  Alcotest.(check int) "C_2(1) through L_m" 1
+    (Vector_clock.get (Vc_state.clock s 2) 1);
+  Alcotest.(check int) "C_2(0) through L_m" 2
+    (Vector_clock.get (Vc_state.clock s 2) 0)
+
 let test_vc_state_dispatch () =
   let s = Vc_state.create (Stats.create ()) in
   Alcotest.(check bool) "sync handled" true
@@ -202,6 +252,12 @@ let suite =
         test_vc_state_release_acquire;
       Alcotest.test_case "vc state: fork/join" `Quick test_vc_state_fork_join;
       Alcotest.test_case "vc state: barrier" `Quick test_vc_state_barrier;
+      Alcotest.test_case "vc state: reacquire by last releaser" `Quick
+        test_vc_state_own_reacquire;
+      Alcotest.test_case "vc state: another releaser forces the join" `Quick
+        test_vc_state_other_releaser;
+      Alcotest.test_case "vc state: repeat release after a raise" `Quick
+        test_vc_state_repeat_release;
       Alcotest.test_case "vc state: dispatch" `Quick test_vc_state_dispatch;
       Alcotest.test_case "driver" `Quick test_driver_replay_and_run;
       Alcotest.test_case "table render" `Quick test_table_render;

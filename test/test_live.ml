@@ -76,6 +76,7 @@ let counts_of_delta j =
       eliminated = J.int d "eliminated";
       epoch_ops = J.int d "epoch_ops";
       vc_ops = J.int d "vc_ops";
+      vc_ops_skipped = J.int d "vc_ops_skipped";
       state_words = J.int d "state_words";
       warnings = J.int d "warnings" }
 
@@ -283,12 +284,14 @@ let test_stream_stealing () =
 
 let some_counts =
   { Obs_snapshot.events = 100; reads = 60; writes = 30; syncs = 10;
-    eliminated = 5; epoch_ops = 80; vc_ops = 20; state_words = 512;
+    eliminated = 5; epoch_ops = 80; vc_ops = 20; vc_ops_skipped = 4;
+    state_words = 512;
     warnings = 1 }
 
 let other_counts =
   { Obs_snapshot.events = 7; reads = 3; writes = 2; syncs = 2;
-    eliminated = 0; epoch_ops = 6; vc_ops = 1; state_words = 64;
+    eliminated = 0; epoch_ops = 6; vc_ops = 1; vc_ops_skipped = 1;
+    state_words = 64;
     warnings = 0 }
 
 let test_counts_arith () =

@@ -1,8 +1,8 @@
 (* The observability layer's contract:
 
    1. spans and GC samples land on one timeline and export as valid
-      JSON under the ftrace.obs/2 schema (parsed here with a minimal
-      hand-rolled reader — no JSON library in the image);
+      JSON under the ftrace.obs/2 schema (parsed with Obs_json_read,
+      the reader `ftrace watch` uses);
    2. every run figure has one copy: the run section, a span attr, or
       the race report's recorder object — never a second registry;
    3. observability NEVER changes analysis results: warnings from an
@@ -10,175 +10,40 @@
       sequentially and sharded. *)
 
 (* ------------------------------------------------------------------ *)
-(* A minimal JSON reader, just enough to assert the export schema.    *)
+(* Strict accessors over Obs_json_read: a missing field or a value of  *)
+(* the wrong type fails the test.                                     *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module J = Obs_json_read
 
-exception Bad_json of string
+let parse_json = J.parse
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else fail "eof" in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    advance ()
-  in
-  let lit word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let string_body () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'u' ->
-          (* \uXXXX: decode as a raw byte for ASCII range, enough for
-             our own escaper's output *)
-          advance ();
-          advance ();
-          advance ();
-          let hex = String.sub s (!pos - 3) 4 in
-          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ hex) land 0xff))
-        | c -> Buffer.add_char b c);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if start = !pos then fail "number";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "object"
-        in
-        Obj (fields [])
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            items (v :: acc)
-          | ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "array"
-        in
-        Arr (items [])
-      end
-    | '"' -> Str (string_body ())
-    | 't' -> lit "true" (Bool true)
-    | 'f' -> lit "false" (Bool false)
-    | 'n' -> lit "null" Null
-    | _ -> Num (number ())
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
+let member name j =
+  match j with
+  | J.Obj _ -> (
+    match J.member name j with
     | Some v -> v
     | None -> Alcotest.failf "missing JSON field %S" name)
   | _ -> Alcotest.failf "not an object (looking up %S)" name
 
-let as_num = function
-  | Num f -> f
-  | _ -> Alcotest.fail "expected number"
+let expect what = function
+  | Some v -> v
+  | None -> Alcotest.failf "expected %s" what
 
-let as_str = function
-  | Str s -> s
-  | _ -> Alcotest.fail "expected string"
-
-let as_arr = function
-  | Arr a -> a
-  | _ -> Alcotest.fail "expected array"
+let as_num j = expect "number" (J.to_num j)
+let as_str j = expect "string" (J.to_str j)
+let as_arr j = expect "array" (J.to_arr j)
 
 (* Every path (["run.stats.events"], ["spans[].attrs.words"]) at which
    an object in [j] has a field named [key]. *)
 let paths key j =
   let rec go prefix acc = function
-    | Obj fields ->
+    | J.Obj fields ->
       List.fold_left
         (fun acc (k, v) ->
           let here = if prefix = "" then k else prefix ^ "." ^ k in
           go here (if k = key then here :: acc else acc) v)
         acc fields
-    | Arr items -> List.fold_left (go (prefix ^ "[]")) acc items
+    | J.Arr items -> List.fold_left (go (prefix ^ "[]")) acc items
     | _ -> acc
   in
   List.rev (go "" [] j)
@@ -348,7 +213,7 @@ let test_metrics_schema () =
      words: the independent cross-check for Stats.peak_words
      (Table 3) *)
   let full =
-    List.filter (fun s -> member "full" s = Bool true) gc
+    List.filter (fun s -> member "full" s = J.Bool true) gc
   in
   (match full with
   | [] -> Alcotest.fail "no full GC sample"
@@ -478,7 +343,7 @@ let test_disabled_document () =
      empty sections — downstream tooling never branches on presence. *)
   let j = parse_json (Obs_export.to_string Obs.disabled) in
   Alcotest.(check bool) "enabled=false" true
-    (member "enabled" j = Bool false);
+    (member "enabled" j = J.Bool false);
   Alcotest.(check int) "no spans" 0 (List.length (as_arr (member "spans" j)));
   Alcotest.(check int) "no gc samples" 0
     (List.length (as_arr (member "gc" j)))

@@ -128,6 +128,8 @@ let check_stats_equal name (a : Sync_timeline.stats) (b : Sync_timeline.stats)
       ("other_events", a.Sync_timeline.other_events,
        b.Sync_timeline.other_events);
       ("vc_ops", a.Sync_timeline.vc_ops, b.Sync_timeline.vc_ops);
+      ("vc_ops_skipped", a.Sync_timeline.vc_ops_skipped,
+       b.Sync_timeline.vc_ops_skipped);
       ("vc_allocs", a.Sync_timeline.vc_allocs, b.Sync_timeline.vc_allocs);
       ("checkpoints", a.Sync_timeline.checkpoints, b.Sync_timeline.checkpoints);
       ("snapshots", a.Sync_timeline.snapshots, b.Sync_timeline.snapshots);

@@ -332,7 +332,7 @@ let test_traceevent_json () =
     List.filter_map
       (fun e ->
         match Test_obs.member "name" e with
-        | Test_obs.Str s -> Some s
+        | Obs_json_read.Str s -> Some s
         | _ -> None)
       events
   in
@@ -345,7 +345,7 @@ let test_traceevent_json () =
   List.iter
     (fun e ->
       match Test_obs.member "name" e with
-      | Test_obs.Str "race" ->
+      | Obs_json_read.Str "race" ->
         Alcotest.(check string) "race is an instant" "i"
           Test_obs.(as_str (member "ph" e))
       | _ -> ())
@@ -357,7 +357,7 @@ let test_traceevent_json () =
        (List.filter
           (fun e ->
             match Test_obs.member "ph" e with
-            | Test_obs.Str "X" | Test_obs.Str "i" -> true
+            | Obs_json_read.Str "X" | Obs_json_read.Str "i" -> true
             | _ -> false)
           Test_obs.(as_arr (member "traceEvents" empty))))
 

@@ -28,6 +28,8 @@ let test_merge_fieldwise () =
     mk ~events:5 ~reads:1 ~writes:2 ~syncs:2 ~vc_allocs:1 ~vc_ops:3
       ~epoch_ops:6 ~words:40 ()
   in
+  a.Stats.vc_ops_skipped <- 4;
+  b.Stats.vc_ops_skipped <- 1;
   Stats.merge_into ~into:a b;
   Alcotest.(check int) "events" 15 a.Stats.events;
   Alcotest.(check int) "reads" 5 a.Stats.reads;
@@ -35,6 +37,7 @@ let test_merge_fieldwise () =
   Alcotest.(check int) "syncs" 5 a.Stats.syncs;
   Alcotest.(check int) "vc_allocs" 3 a.Stats.vc_allocs;
   Alcotest.(check int) "vc_ops" 10 a.Stats.vc_ops;
+  Alcotest.(check int) "vc_ops_skipped" 5 a.Stats.vc_ops_skipped;
   Alcotest.(check int) "epoch_ops" 17 a.Stats.epoch_ops;
   Alcotest.(check int) "state_words" 140 a.Stats.state_words;
   (* b is untouched *)
@@ -142,7 +145,8 @@ let test_fields_alist () =
   (* the sampling-tier counters are always exported, zero or not *)
   Alcotest.(check int) "sampled" 0 (get "sampled");
   Alcotest.(check int) "skipped" 0 (get "skipped");
-  Alcotest.(check int) "field count" 12 (List.length fields)
+  Alcotest.(check int) "vc_ops_skipped" 0 (get "vc_ops_skipped");
+  Alcotest.(check int) "field count" 13 (List.length fields)
 
 let suite =
   ( "stats",
